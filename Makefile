@@ -1,5 +1,8 @@
 GO ?= go
 
+# The committed replays (sched.Replays), each run by detourd -replay.
+REPLAYS = churn multipath grayfail crashsafe pressure telemetry
+
 .PHONY: build test vet race bench check fleet chaos overload stress churn multipath grayfail crashsafe pressure telemetry
 
 build:
@@ -42,20 +45,20 @@ overload:
 # reconvergence storm replayed with and without the churn stack.
 churn:
 	$(GO) test -race ./internal/bgppol/ ./internal/sched/ ./internal/core/
-	$(GO) run ./examples/churn
+	$(GO) run ./cmd/detourd -replay churn
 
 # Multipath: the striping tests race-clean (chunk ledger, hedging,
 # drains, churn digest property), then the striped-vs-single replay.
 multipath:
 	$(GO) test -race ./internal/multipath/ ./internal/stats/ ./internal/sched/
-	$(GO) run ./examples/multipath
+	$(GO) run ./cmd/detourd -replay multipath
 
 # Grayfail: the gray-failure detection tests race-clean (stall
 # watchdogs, outlier ejection with canary re-admission, retry budgets),
 # then the silent-degradation replay with and without the health stack.
 grayfail:
 	$(GO) test -race ./internal/health/ ./internal/faults/ ./internal/sched/
-	$(GO) run ./examples/grayfail
+	$(GO) run ./cmd/detourd -replay grayfail
 
 # Crashsafe: the crash-consistency tests race-clean (journal framing,
 # replay fold, torn tails, snapshot equivalence, the full crash-point
@@ -65,7 +68,7 @@ grayfail:
 crashsafe:
 	$(GO) test -race ./internal/journal/ ./internal/sched/
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
-	$(GO) run ./examples/crashsafe
+	$(GO) run ./cmd/detourd -replay crashsafe
 
 # Pressure: the storage-exhaustion tests race-clean (staging-disk
 # admission/eviction/conservation, quota reclaim/spill/park ladder,
@@ -74,7 +77,7 @@ crashsafe:
 # vs the no-mitigation ablation.
 pressure:
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/ ./internal/cloudsim/ ./internal/journal/
-	$(GO) run ./examples/pressure
+	$(GO) run ./cmd/detourd -replay pressure
 
 # Telemetry: the observability-plane tests race-clean (registry hot
 # path, histogram merges, sampler wraparound/pause, flight-recorder
@@ -83,51 +86,34 @@ pressure:
 # decision traces, Prometheus dump.
 telemetry:
 	$(GO) test -race ./internal/telemetry/ ./internal/sched/
-	$(GO) run ./examples/telemetry
+	$(GO) run ./cmd/detourd -replay telemetry
 
 # Stress: the scheduler suite repeated under the race detector to
 # shake out ordering-dependent bugs in the queue and overload layer.
 stress:
 	$(GO) test -race -count=5 ./internal/sched/
 
-# The gate PRs must pass: everything compiles, vets clean, the full
-# test suite (including the really-concurrent scheduler) is race-clean,
-# the delta-encoding and journal-decode fuzzers hold up for a short
-# smoke run, the chaos and overload replays complete, and the churn,
-# multipath, grayfail, crashsafe, pressure, and telemetry replays are
+# The gate PRs must pass: every Go file is gofmt-clean, everything
+# compiles, vets clean, the full test suite (including the
+# really-concurrent scheduler) is race-clean, the delta-encoding and
+# journal-decode fuzzers hold up for a short smoke run, the chaos and
+# overload replays complete, and every committed replay (REPLAYS) is
 # byte-identical across two runs of the same seed — for telemetry that
 # covers the whole observability plane: metric dumps, time series,
 # sparklines, and flight-recorder traces. The eviction-safety suites
 # get an explicit race pass (cheap, and kept even if the blanket ./...
 # leg above is ever narrowed).
 check:
+	@out=$$(gofmt -l *.go cmd examples internal perfbench); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) run ./examples/chaos >/dev/null
 	$(GO) run ./examples/overload >/dev/null
-	$(GO) run ./examples/churn >.churn.a.tmp
-	$(GO) run ./examples/churn >.churn.b.tmp
-	cmp .churn.a.tmp .churn.b.tmp
-	rm -f .churn.a.tmp .churn.b.tmp
-	$(GO) run ./examples/multipath >.mp.a.tmp
-	$(GO) run ./examples/multipath >.mp.b.tmp
-	cmp .mp.a.tmp .mp.b.tmp
-	rm -f .mp.a.tmp .mp.b.tmp
-	$(GO) run ./examples/grayfail >.gray.a.tmp
-	$(GO) run ./examples/grayfail >.gray.b.tmp
-	cmp .gray.a.tmp .gray.b.tmp
-	rm -f .gray.a.tmp .gray.b.tmp
-	$(GO) run ./examples/crashsafe >.cs.a.tmp
-	$(GO) run ./examples/crashsafe >.cs.b.tmp
-	cmp .cs.a.tmp .cs.b.tmp
-	rm -f .cs.a.tmp .cs.b.tmp
-	$(GO) run ./examples/pressure >.pr.a.tmp
-	$(GO) run ./examples/pressure >.pr.b.tmp
-	cmp .pr.a.tmp .pr.b.tmp
-	rm -f .pr.a.tmp .pr.b.tmp
-	$(GO) run ./examples/telemetry >.tlm.a.tmp
-	$(GO) run ./examples/telemetry >.tlm.b.tmp
-	cmp .tlm.a.tmp .tlm.b.tmp
-	rm -f .tlm.a.tmp .tlm.b.tmp
+	for r in $(REPLAYS); do \
+		$(GO) run ./cmd/detourd -replay $$r >.replay.a.tmp && \
+		$(GO) run ./cmd/detourd -replay $$r >.replay.b.tmp && \
+		cmp .replay.a.tmp .replay.b.tmp || exit 1; \
+	done
+	rm -f .replay.a.tmp .replay.b.tmp

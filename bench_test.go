@@ -636,13 +636,13 @@ func BenchmarkBGPRoutesToCold(b *testing.B) {
 }
 
 // BenchmarkChurnReplay replays the full reconvergence storm (control +
-// stack runs, the examples/churn workload) once per iteration and
-// reports the stack's survival rate over storm-touched transfers.
+// stack runs, the `detourd -replay churn` workload) once per iteration
+// and reports the stack's survival rate over storm-touched transfers.
 func BenchmarkChurnReplay(b *testing.B) {
 	var v sched.ChurnVerdict
 	for i := 0; i < b.N; i++ {
-		control := sched.RunChurn(sched.ChurnOptions{Seed: 2015, Stack: false})
-		stack := sched.RunChurn(sched.ChurnOptions{Seed: 2015, Stack: true})
+		control := sched.RunChurn(sched.ReplayOptions{Seed: 2015})
+		stack := sched.RunChurn(sched.ReplayOptions{Seed: 2015, Stack: true})
 		v = sched.CompareChurn(control, stack)
 	}
 	printOnce("churn", fmt.Sprintf(

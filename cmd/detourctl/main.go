@@ -24,13 +24,13 @@
 // fairness index. -via is ignored in this mode; -drain still excludes
 // the named DTN's lane.
 //
-// With -journal, the tool instead dumps a control-journal file: the
-// record census, any torn tail the replay truncated, and the folded
-// state a restarted scheduler would recover — finished jobs, pending
-// jobs with their checkpoints and idempotent attempt IDs, spent retry
-// tokens, held cap slots. Point it at the file a `detourd`-style
-// deployment (or sched.RunCrashsafe with JournalPath) writes. Transfer
-// flags are ignored in this mode.
+// With -journal, the tool instead dumps a control-journal file without
+// modifying it: the record census, any torn tail a restart would
+// truncate, and the folded state a restarted scheduler would recover —
+// finished jobs, pending jobs with their checkpoints and idempotent
+// attempt IDs, spent retry tokens, held cap slots. Point it at the file
+// a `detourd`-style deployment (or sched.RunCrashsafe with JournalPath)
+// writes. Transfer flags are ignored in this mode.
 //
 // With -health, the tool instead replays the gray-failure schedule with
 // the health stack armed and prints the operator's view of it: the
@@ -201,28 +201,18 @@ func main() {
 // stack armed and renders the tracker's final state the way a real
 // deployment's `detourctl health` would read the control plane.
 func runHealthTable(seed int64) int {
-	out := sched.RunGrayfail(sched.GrayfailOptions{Seed: seed, Stack: true})
+	out := sched.RunGrayfail(sched.ReplayOptions{Seed: seed, Stack: true})
 	st := out.Stats
 	fmt.Printf("health after %d transfers, %.0f virtual s: %d stalls, %d stall-reroutes, %d canaries, %d budget-parked\n",
 		len(out.Results), out.VirtualSeconds, st.Stalls, st.StallReroutes, st.Canaries, st.BudgetParks)
 	fmt.Println("entities:")
-	for _, e := range out.Table {
-		state := "healthy"
-		if e.Probation {
-			state = "probation"
-		}
-		fmt.Printf("  %-9s %-16s baseline %6.2f MB/s  %-9s stalls %d  obs %d\n",
-			e.Class, e.Entity, e.Baseline/1e6, state, e.Stalls, e.Observations)
-	}
+	sched.WriteHealthTable(os.Stdout, out.Table)
 	fmt.Println("transitions:")
 	for _, tr := range out.Health {
 		fmt.Printf("  %s\n", tr)
 	}
 	fmt.Println("retry budgets:")
-	for _, b := range out.Budgets {
-		fmt.Printf("  %-12s tokens %.1f  spent %d  denied %d\n",
-			b.Provider, b.Tokens, b.Spent, b.Denied)
-	}
+	sched.WriteRetryBudgets(os.Stdout, out.Budgets)
 	return 0
 }
 
@@ -231,7 +221,7 @@ func runHealthTable(seed int64) int {
 // way a real deployment's `detourctl capacity` would read the control
 // plane.
 func runCapacityTable(seed int64) int {
-	out := sched.RunPressure(sched.PressureOptions{Seed: seed, Stack: true})
+	out := sched.RunPressure(sched.ReplayOptions{Seed: seed, Stack: true})
 	st := out.Stats
 	fmt.Printf("storage after %d transfers, %.0f virtual s: %d quota failures, %d reclaims, %d spills, %d quota-parked; journal degraded=%v enospc-saves=%d dropped=%d\n",
 		len(out.Results), out.VirtualSeconds,

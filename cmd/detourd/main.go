@@ -11,6 +11,7 @@
 //	detourd [-jobs 600] [-workers 8] [-seed 2015]
 //	        [-provider-cap 4] [-dtn-cap 2] [-tenant-rate 0]
 //	        [-stats 2s] [-chaos] [-overload]
+//	detourd -replay NAME [-seed N]
 //
 // With -chaos, the canned fault schedule (see internal/faults) plays
 // against the world while the trace drains: links flap and degrade,
@@ -29,54 +30,37 @@
 // Shed and expired jobs are expected under overload and do not fail
 // the process.
 //
-// With -churn, the daemon instead replays the BGP reconvergence storm
-// (see internal/faults.ChurnSchedule) twice over the same fleet and
-// seed — once as an ablated control and once with the full churn stack:
-// staged per-domain convergence with transient blackholes, push-based
-// route invalidation off the event bus, make-before-break rerouting of
-// in-flight transfers, parking on total route loss, and a DTN drain —
-// and prints the deterministic with/without report. Other scheduler
-// flags are ignored in this mode.
+// With -replay NAME, the daemon instead runs one committed scenario
+// replay (see internal/sched.Replays) at its committed seed, or at
+// -seed when given, prints its deterministic report, and exits 1 if the
+// replay's sanity check fails. Other scheduler flags are ignored in
+// this mode. The replays:
 //
-// With -grayfail, the daemon instead replays the gray-failure schedule
-// (see internal/faults.GrayfailSchedule) twice over the same fleet and
-// seed — once as the DisableHealth ablation and once with the health
-// stack: stall watchdogs with adaptive budgets, outlier ejection with
-// canary re-admission, and per-provider retry budgets — and prints the
-// deterministic with/without report. Other scheduler flags are ignored
-// in this mode.
+// churn: the BGP reconvergence storm (internal/faults.ChurnSchedule)
+// over one fleet, as an ablated control and with the full churn stack —
+// staged convergence with transient blackholes, push-based route
+// invalidation, make-before-break rerouting, parking, a DTN drain.
 //
-// With -pressure, the daemon instead replays the storage-exhaustion
-// schedule (see internal/faults.PressureSchedule) twice over the same
-// fleet and seed — once as the no-mitigation ablation and once with the
-// full ladder: LRU eviction of stale staged state, spill-aware
-// placement off DTN headroom, provider-session reclamation on 507,
-// spill to alternate providers, and journal degradation to in-memory
-// folding — and prints the deterministic with/without report. Other
-// scheduler flags are ignored in this mode.
+// grayfail: silent degradations (internal/faults.GrayfailSchedule)
+// without and with the health stack — stall watchdogs, outlier
+// ejection with canary re-admission, per-provider retry budgets.
 //
-// With -crashsafe, the daemon instead runs the crash-consistency sweep
-// (see internal/sched.RunCrashsafeSweep): a journaled scheduler killed
-// at every enumerated control-plane crash point, restarted on the same
-// journal, and required to converge byte-identical to the crash-free
-// control with zero duplicate provider commits — plus the storage-decay
-// arm. Other scheduler flags are ignored in this mode.
+// pressure: storage exhaustion (internal/faults.PressureSchedule)
+// without and with the mitigation ladder — LRU eviction, spill-aware
+// placement, quota reclamation, provider spill, journal degradation.
 //
-// With -multipath, the daemon instead runs the striped-transfer
-// comparison (see internal/sched.RunMultipath): every site/provider
-// pair measured over each single route and then striped across direct
-// + detours through JobMultipath, plus the churn leg that drives one
-// large striped transfer into the reconvergence storm. Other scheduler
-// flags are ignored in this mode.
+// crashsafe: a journaled scheduler killed at every control-plane crash
+// point, restarted on its journal, and required to converge
+// byte-identical to the crash-free control with zero duplicate
+// commits, plus the storage-decay arm.
 //
-// With -telemetry, the daemon instead replays the instrumented flash
-// crowd (see internal/sched.RunTelemetry) against the reconvergence
-// storm with the full observability plane attached — metrics registry,
-// virtual-clock sampler, per-job flight recorder — printing a compact
-// telemetry line every -dump-every virtual seconds while it drains and
-// the full deterministic report (time series, failed-job decision
-// traces, Prometheus dump) at the end. Other scheduler flags are
-// ignored in this mode.
+// multipath: every site/provider pair over each single route and then
+// striped across direct + detours, plus one large striped transfer
+// driven into the reconvergence storm.
+//
+// telemetry: an instrumented flash crowd through the reconvergence
+// storm — live telemetry lines, the operator dashboard, then the full
+// report (time series, failed-job decision traces, Prometheus dump).
 package main
 
 import (
@@ -85,6 +69,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"detournet/internal/faults"
@@ -104,67 +89,12 @@ func main() {
 		statsEvery  = flag.Duration("stats", 2*time.Second, "status-line interval (0 = quiet)")
 		chaos       = flag.Bool("chaos", false, "replay the canned fault schedule while draining")
 		overload    = flag.Bool("overload", false, "arm admission control, fair queuing, shedding, hedging, and brownout")
-		churn       = flag.Bool("churn", false, "replay the BGP reconvergence storm, control vs full stack, and report")
-		grayfail    = flag.Bool("grayfail", false, "replay the gray-failure schedule, no-health ablation vs health stack, and report")
-		pressure    = flag.Bool("pressure", false, "replay the storage-exhaustion schedule, no-mitigation ablation vs full stack, and report")
-		mpath       = flag.Bool("multipath", false, "run the striped-vs-single comparison plus the multipath churn leg, and report")
-		crashsafe   = flag.Bool("crashsafe", false, "run the crash-consistency sweep (kill at every crash point, restart, replay) and report")
-		telem       = flag.Bool("telemetry", false, "replay the instrumented flash crowd with the observability plane and report")
-		dumpEvery   = flag.Float64("dump-every", 60, "virtual seconds between periodic telemetry lines in -telemetry mode")
+		replay      = flag.String("replay", "", "run the named committed replay and print its report")
 	)
 	flag.Parse()
 
-	if *telem {
-		o := sched.RunTelemetry(sched.TelemetryOptions{
-			Seed: *seed, DumpEvery: *dumpEvery, DumpTo: os.Stdout,
-		})
-		fmt.Println()
-		sched.WriteTelemetryReport(os.Stdout, o)
-		return
-	}
-
-	if *crashsafe {
-		control, legs := sched.RunCrashsafeSweep(*seed)
-		sched.WriteCrashsafeReport(os.Stdout, control, legs)
-		decay := sched.RunCrashsafe(sched.CrashsafeOptions{Seed: *seed, Decay: true})
-		sched.WriteCrashsafeDecayReport(os.Stdout, decay)
-		if err := sched.CrashsafeSanity(control, legs); err != nil {
-			fmt.Fprintf(os.Stderr, "detourd: crashsafe: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *mpath {
-		o := sched.RunMultipath(sched.MultipathOptions{Seed: *seed})
-		mc := sched.RunMultipathChurn(*seed, 0)
-		sched.WriteMultipathReport(os.Stdout, o, mc)
-		if err := sched.MultipathSanity(o); err != nil {
-			fmt.Fprintf(os.Stderr, "detourd: multipath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *churn {
-		control := sched.RunChurn(sched.ChurnOptions{Seed: *seed, Stack: false})
-		stack := sched.RunChurn(sched.ChurnOptions{Seed: *seed, Stack: true})
-		sched.WriteChurnReport(os.Stdout, control, stack)
-		return
-	}
-
-	if *grayfail {
-		control := sched.RunGrayfail(sched.GrayfailOptions{Seed: *seed, Stack: false})
-		stack := sched.RunGrayfail(sched.GrayfailOptions{Seed: *seed, Stack: true})
-		sched.WriteGrayfailReport(os.Stdout, control, stack)
-		return
-	}
-
-	if *pressure {
-		control := sched.RunPressure(sched.PressureOptions{Seed: *seed, Stack: false})
-		stack := sched.RunPressure(sched.PressureOptions{Seed: *seed, Stack: true})
-		sched.WritePressureReport(os.Stdout, control, stack)
-		return
+	if *replay != "" {
+		os.Exit(runReplay(*replay, *seed))
 	}
 
 	trace, err := workload.GenerateFleet(workload.FleetSpec{
@@ -311,4 +241,29 @@ func main() {
 	if st.Failed > 0 && !*chaos && !*overload {
 		os.Exit(1)
 	}
+}
+
+// runReplay runs one entry of sched.Replays; -seed overrides the
+// entry's committed seed only when given explicitly.
+func runReplay(name string, seed int64) int {
+	e, ok := sched.Replays[name]
+	if !ok {
+		names := make([]string, 0, len(sched.Replays))
+		for n := range sched.Replays {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(os.Stderr, "detourd: unknown replay %q (have %s)\n", name, strings.Join(names, ", "))
+		return 2
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			e.Seed = seed
+		}
+	})
+	if err := e.Run(os.Stdout, e.Seed); err != nil {
+		fmt.Fprintf(os.Stderr, "detourd: %s: %v\n", name, err)
+		return 1
+	}
+	return 0
 }

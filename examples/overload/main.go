@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"detournet/internal/core"
 	"detournet/internal/faults"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
@@ -34,49 +33,6 @@ const (
 	steadyRate = 0.2  // jobs/s per steady tenant
 	flashRate  = 6.0  // jobs/s from the flash tenant during the burst
 )
-
-// feeder wraps the simulation executor so that every virtual-time
-// advance — transfer, probe, hedge, or backoff sleep — first completes,
-// then hands the new clock to the trace feed. That is what makes the
-// replay deterministic with one worker: arrivals interleave with
-// service by virtual time, not by goroutine timing.
-type feeder struct {
-	exec *sched.SimExecutor
-	feed func(now float64)
-}
-
-func (f *feeder) after() {
-	f.feed(f.exec.VirtualNow())
-}
-
-func (f *feeder) Execute(j sched.Job, r core.Route) (float64, error) {
-	sec, err := f.exec.Execute(j, r)
-	f.after()
-	return sec, err
-}
-
-func (f *feeder) ExecuteResumable(j sched.Job, r core.Route, ck *core.Checkpoint) (float64, error) {
-	sec, err := f.exec.ExecuteResumable(j, r, ck)
-	f.after()
-	return sec, err
-}
-
-func (f *feeder) ExecuteHedged(j sched.Job, r core.Route, budget float64, ck *core.Checkpoint) (float64, core.Route, bool, bool, error) {
-	sec, route, launched, won, err := f.exec.ExecuteHedged(j, r, budget, ck)
-	f.after()
-	return sec, route, launched, won, err
-}
-
-func (f *feeder) Plan(client, provider string, size float64) (core.Route, []core.Route, error) {
-	route, cands, err := f.exec.Plan(client, provider, size)
-	f.after()
-	return route, cands, err
-}
-
-func (f *feeder) Sleep(sec float64) {
-	f.exec.SleepVirtual(sec)
-	f.after()
-}
 
 // buildTrace lays the flash crowd over the steady fleet: each steady
 // tenant is its own Poisson stream for the whole trace, the flash
@@ -154,7 +110,18 @@ func run(trace []workload.FleetJob, label string, overloadOn bool) runReport {
 	defer exec.Close()
 
 	rep := runReport{attempts: map[string]int{}, rejected: map[string]int{}}
-	fd := &feeder{exec: exec}
+	// Arrivals ride the virtual clock (see sched.Feeder).
+	var s *sched.Scheduler
+	fd := sched.NewFeeder(exec, trace, func(fj workload.FleetJob) {
+		rep.attempts[fj.Tenant]++
+		err := s.Submit(sched.Job{
+			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
+			Name: fj.Name, Size: fj.Size, Deadline: fj.Deadline,
+		})
+		if err != nil {
+			rep.rejected[fj.Tenant]++
+		}
+	})
 	cfg := sched.Config{
 		Workers: 1, Executor: fd, Planner: fd,
 		MaxAttempts: 3,
@@ -173,37 +140,10 @@ func run(trace []workload.FleetJob, label string, overloadOn bool) runReport {
 		cfg.HedgeMaxFrac = 0.1
 		cfg.BrownoutEnter = 0.8
 	}
-	s := sched.New(cfg)
+	s = sched.New(cfg)
 	s.Start()
 	defer s.Close()
-
-	i := 0
-	feed := func(now float64) {
-		for i < len(trace) && trace[i].At <= now {
-			fj := trace[i]
-			i++
-			rep.attempts[fj.Tenant]++
-			err := s.Submit(sched.Job{
-				Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
-				Name: fj.Name, Size: fj.Size, Deadline: fj.Deadline,
-			})
-			if err != nil {
-				rep.rejected[fj.Tenant]++
-			}
-		}
-	}
-	fd.feed = feed
-	for {
-		s.Drain()
-		if i >= len(trace) {
-			break
-		}
-		if next, now := trace[i].At, exec.VirtualNow(); next > now {
-			exec.SleepVirtual(next - now)
-		}
-		feed(exec.VirtualNow())
-	}
-	s.Drain()
+	fd.Run(s)
 
 	rep.stats = s.Stats()
 	for _, r := range rep.results {

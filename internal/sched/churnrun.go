@@ -1,17 +1,15 @@
 // Churn replay: the reconvergence-storm harness behind `make churn`,
-// the examples/churn program, detourd's -churn mode, and the churn
-// acceptance tests. One RunChurn call builds a world with dynamic
-// (staged-convergence) routing, arms the faults.ChurnSchedule storm,
-// and drives a fixed fleet of transfers through the scheduler — either
-// with the full churn stack (checkpointed resume, make-before-break
-// rerouting with parking, push-based route invalidation off the bus) or
-// as the ablated control (one attempt, no recovery, TTL-only caching).
+// `detourd -replay churn`, and the churn acceptance tests. One RunChurn
+// call builds a world with dynamic (staged-convergence) routing, arms
+// the faults.ChurnSchedule storm, and drives a fixed fleet of transfers
+// through the scheduler — either with the full churn stack
+// (checkpointed resume, make-before-break rerouting with parking,
+// push-based route invalidation off the bus) or as the ablated control
+// (one attempt, no recovery, TTL-only caching).
 //
-// Everything is deterministic per seed: Workers is 1 (sequential ⇒
-// deterministic — the repo's established idiom), the convergence delays
-// come from the world's seeded RNG, and the report renderer only
-// iterates sorted data. Same seed, same binary ⇒ byte-identical output,
-// which `make check` verifies.
+// The convergence delays come from the world's seeded RNG; the rest of
+// the determinism contract is the harness's (see replay.go), and `make
+// check` verifies it.
 package sched
 
 import (
@@ -25,32 +23,12 @@ import (
 	"detournet/internal/scenario"
 )
 
-// ChurnOptions configures one storm replay.
-type ChurnOptions struct {
-	// Seed drives the world, the fault schedule, and the convergence
-	// delays.
-	Seed int64
-	// Jobs is the fleet size (default 36); Size the bytes per transfer
-	// (default 60 MB — long enough that fault windows land mid-flight).
-	Jobs int
-	Size float64
-	// Stack arms the full churn stack. False runs the ablated control.
-	Stack bool
-}
-
 // ChurnOutcome is one replay's complete, deterministic result set.
 type ChurnOutcome struct {
-	// Results in completion order (sequential worker ⇒ submission order
-	// of terminal outcomes is stable).
-	Results []Result
-	Stats   Stats
+	Replay
 	// Events is the routing-plane event log (withdraws/announces with
 	// their convergence horizons).
 	Events []bgppol.Event
-	// Transitions is the fault injector's transition log.
-	Transitions []string
-	// VirtualSeconds is the total simulated time the replay spanned.
-	VirtualSeconds float64
 }
 
 // Affected lists the jobs this run shows the storm touched: a failure,
@@ -65,71 +43,51 @@ func (o ChurnOutcome) Affected() map[string]bool {
 	return out
 }
 
-// RunChurn replays the storm once. See the package comment on ChurnOptions.
-func RunChurn(o ChurnOptions) ChurnOutcome {
-	if o.Jobs <= 0 {
-		o.Jobs = 36
-	}
-	if o.Size <= 0 {
-		o.Size = 60e6
-	}
+// RunChurn replays the storm once over a fixed 36-job fleet.
+func RunChurn(o ReplayOptions) ChurnOutcome {
 	w := scenario.Build(o.Seed, scenario.WithDynamicRouting())
 	inj := faults.NewInjector(w, o.Seed, faults.ChurnSchedule()...)
 	exec := NewSimExecutor(w)
 	defer exec.Close()
 
-	var results []Result
 	cfg := Config{
 		Workers:  1, // sequential ⇒ deterministic
 		Executor: exec, Planner: exec,
-		Now:      exec.VirtualNow,
-		Sleep:    exec.SleepVirtual,
-		OnResult: func(r Result) { results = append(results, r) },
+		Now:   exec.VirtualNow,
+		Sleep: exec.SleepVirtual,
 	}
+	var attach func(*Scheduler)
 	if o.Stack {
 		cfg.MaxAttempts = 5
 		cfg.Reroute = true
 		cfg.ParkBudget = 120
+		// Push-based invalidation: routing events reach the route cache
+		// the instant they happen instead of waiting out TTLs.
+		attach = func(s *Scheduler) {
+			w.RouteBus.Subscribe(func(ev bgppol.Event) { s.RouteEvent(RouteEventOf(ev)) })
+		}
 	} else {
 		cfg.MaxAttempts = 1
 		cfg.DisableRecovery = true
 	}
-	s := New(cfg)
-	if o.Stack {
-		// Push-based invalidation: routing events reach the route cache
-		// the instant they happen instead of waiting out TTLs.
-		w.RouteBus.Subscribe(func(ev bgppol.Event) {
-			s.RouteEvent(RouteEvent{
-				Withdraw: ev.Kind == bgppol.EventWithdraw,
-				DomainA:  ev.DomainA, DomainB: ev.DomainB,
-				FromNode: ev.FromNode, ToNode: ev.ToNode,
-				At: ev.At, ConvergedBy: ev.ConvergedBy,
-			})
-		})
-	}
-	s.Start()
 	// A fixed two-site fleet on the storm's target provider: UBC rides
 	// the pinned PacificWave path that flips away and back, UAlberta
 	// sits behind the Cybera~CANARIE session that gets cut entirely.
 	clients := []string{scenario.UBC, scenario.UAlberta}
-	for i := 0; i < o.Jobs; i++ {
-		err := s.Submit(Job{
+	jobs := make([]Job, 36)
+	for i := range jobs {
+		jobs[i] = Job{
 			Tenant: "churn", Client: clients[i%len(clients)],
 			Provider: scenario.GoogleDrive,
-			Name:     fmt.Sprintf("churn-%03d.bin", i), Size: o.Size,
-		})
-		if err != nil {
-			panic(err)
+			Name:     fmt.Sprintf("churn-%03d.bin", i), Size: replayJobSize,
 		}
 	}
-	s.Drain()
-	st := s.Stats()
-	s.Close()
-	out := ChurnOutcome{
+	results, st := runFleet(cfg, jobs, attach)
+	out := ChurnOutcome{Replay: Replay{
 		Results: results, Stats: st,
 		Transitions:    inj.Transitions(),
 		VirtualSeconds: exec.VirtualNow(),
-	}
+	}}
 	if w.Routing != nil {
 		out.Events = w.Routing.Events()
 	}
@@ -198,8 +156,8 @@ func CompareChurn(control, stack ChurnOutcome) ChurnVerdict {
 	return v
 }
 
-// WriteChurnReport renders the deterministic with/without report the
-// churn example and detourd's -churn mode print.
+// WriteChurnReport renders the deterministic with/without report
+// `detourd -replay churn` prints.
 func WriteChurnReport(out io.Writer, control, stack ChurnOutcome) {
 	line := func(label string, o ChurnOutcome) {
 		st := o.Stats

@@ -178,25 +178,15 @@ func TestCrashsafeJournalRot(t *testing.T) {
 	}
 }
 
-// TestCrashsafeDeterminism renders the full report twice from
+// TestCrashsafeDeterminism renders the storage-decay report twice from
 // independent runs: same seed, same binary ⇒ byte-identical output.
+// (The sweep report is covered by TestReplaysDeterministic.)
 func TestCrashsafeDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full second sweep")
-	}
 	var a, b bytes.Buffer
-	control, legs := crashsafeSweep(t)
-	WriteCrashsafeReport(&a, control, legs)
-	control2, legs2 := RunCrashsafeSweep(7)
-	WriteCrashsafeReport(&b, control2, legs2)
+	WriteCrashsafeDecayReport(&a, RunCrashsafe(CrashsafeOptions{Seed: 7, Decay: true}))
+	WriteCrashsafeDecayReport(&b, RunCrashsafe(CrashsafeOptions{Seed: 7, Decay: true}))
 	if a.String() != b.String() {
-		t.Fatalf("sweep report not deterministic:\n--- first ---\n%s--- second ---\n%s", a.String(), b.String())
-	}
-	var da, db bytes.Buffer
-	WriteCrashsafeDecayReport(&da, RunCrashsafe(CrashsafeOptions{Seed: 7, Decay: true}))
-	WriteCrashsafeDecayReport(&db, RunCrashsafe(CrashsafeOptions{Seed: 7, Decay: true}))
-	if da.String() != db.String() {
-		t.Fatalf("decay report not deterministic:\n%s\nvs\n%s", da.String(), db.String())
+		t.Fatalf("decay report not deterministic:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
 

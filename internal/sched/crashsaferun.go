@@ -1,26 +1,24 @@
 // Crashsafe replay: the crash-consistency harness behind `make
-// crashsafe`, the examples/crashsafe program, detourd's -crashsafe
-// mode, and the crashsafe acceptance tests. One RunCrashsafe call
-// builds a world and drives a fixed UBC fleet through a journaled
-// scheduler; when a crash point is armed, the control plane dies
-// there, and the harness restarts it on the same journal device — the
-// replay truncates any torn tail, re-seats finished results, resumes
-// in-flight transfers from their journaled checkpoints under their
-// original idempotent attempt IDs, and completes the fleet. The
-// verdict arithmetic checks what the paper-style operator cares about:
-// the provider holds exactly the objects the crash-free run produced
-// (byte-identical listing), no object was committed twice, and the
-// crash cost at most a rewind's worth of re-sent bytes.
+// crashsafe`, `detourd -replay crashsafe`, and the crashsafe
+// acceptance tests. One RunCrashsafe call builds a world and drives a
+// fixed UBC fleet through a journaled scheduler; when a crash point
+// is armed, the control plane dies there, and the harness restarts it
+// on the same journal device — the replay truncates any torn tail,
+// re-seats finished results, resumes in-flight transfers from their
+// journaled checkpoints under their original idempotent attempt IDs,
+// and completes the fleet. The verdict arithmetic checks what the
+// paper-style operator cares about: the provider holds exactly the
+// objects the crash-free run produced (byte-identical listing), no
+// object was committed twice, and the crash cost at most a rewind's
+// worth of re-sent bytes.
 //
-// Everything is deterministic per seed: Workers is 1, the virtual
-// clock drives Now/Sleep, and the report renderer only iterates sorted
-// data. Same seed, same binary ⇒ byte-identical output, which `make
-// check` verifies.
+// Determinism is the harness's (see replay.go).
 package sched
 
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
 	"detournet/internal/faults"
@@ -34,10 +32,6 @@ import (
 type CrashsafeOptions struct {
 	// Seed drives the world and the injected error bits.
 	Seed int64
-	// Jobs is the fleet size (default 60); Size the bytes per transfer
-	// (default 60 MB).
-	Jobs int
-	Size float64
 	// Point, when non-empty, arms a kill at the named control-plane
 	// crash point (see CrashPoints); Occurrence selects which hit fires
 	// (1-based). Empty runs crash-free — the control arm.
@@ -63,16 +57,18 @@ type CrashsafeOptions struct {
 }
 
 // CrashsafeOutcome is one replay's complete, deterministic result set.
+//
+// Replay.Results merges the journal-replayed finishes with the
+// restarted scheduler's live ones (exactly one Result per job); Stats
+// is the final incarnation's counter snapshot; Transitions is the
+// fault injector's log (decay and journal-fault arms only);
+// VirtualSeconds spans the restart too.
 type CrashsafeOutcome struct {
+	Replay
 	// Point echoes the armed crash point ("" for the control arm);
 	// Crashed reports whether the kill actually fired.
 	Point   string
 	Crashed bool
-	// Results merges the journal-replayed finishes with the restarted
-	// scheduler's live ones; exactly one Result per job.
-	Results []Result
-	// Stats is the final incarnation's counter snapshot.
-	Stats Stats
 	// Listing is the provider-side truth — sorted "provider name size
 	// md5" lines — the byte-identical acceptance surface. IDs and
 	// timestamps are deliberately excluded: a recovered fleet commits
@@ -105,22 +101,11 @@ type CrashsafeOutcome struct {
 	// Hits is the per-crash-point reach count summed over both
 	// incarnations — the sweep's coverage evidence.
 	Hits map[string]int
-	// Transitions is the fault injector's log (Decay arm only).
-	Transitions []string
-	// VirtualSeconds is the total simulated time, restart included.
-	VirtualSeconds float64
 }
 
-// Done counts successful results.
-func (o CrashsafeOutcome) Done() int {
-	n := 0
-	for _, r := range o.Results {
-		if r.Err == nil {
-			n++
-		}
-	}
-	return n
-}
+// crashsafeJobs is the fleet size; every transfer is replayJobSize
+// bytes.
+const crashsafeJobs = 60
 
 // crashsafeJobName is the fleet's deterministic naming scheme.
 func crashsafeJobName(i int) string { return fmt.Sprintf("crash-%03d.bin", i) }
@@ -129,12 +114,6 @@ func crashsafeJobName(i int) string { return fmt.Sprintf("crash-%03d.bin", i) }
 // control run when no Point is armed, otherwise kill + restart + replay
 // on the same journal device.
 func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
-	if o.Jobs <= 0 {
-		o.Jobs = 60
-	}
-	if o.Size <= 0 {
-		o.Size = 60e6
-	}
 	w := scenario.Build(o.Seed)
 
 	var specs []faults.Spec
@@ -184,7 +163,7 @@ func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
 		// catch points in the t≈0 submit burst.)
 		cj.Arm(o.Point, o.Occurrence)
 	}
-	results1, st1 := runCrashsafePhase(w, cj, o, nil, nil)
+	results1, st1 := runCrashsafePhase(w, cj, nil, nil)
 
 	out := CrashsafeOutcome{
 		Point: o.Point,
@@ -200,7 +179,7 @@ func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
 		// reached). No restart, no replay.
 		out.Results, out.Stats = results1, st1
 		out.IntegrityRetries = st1.IntegrityRetries
-		finishCrashsafeOutcome(&out, w, o)
+		finishCrashsafeOutcome(&out, w)
 		if inj != nil {
 			out.Transitions = inj.Transitions()
 		}
@@ -259,7 +238,7 @@ func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
 	for _, r := range rec.Finished {
 		skip[r.Job.Name] = true
 	}
-	results2, st2 := runCrashsafePhase(w, cj2, o, skip, rec.RetrySpent)
+	results2, st2 := runCrashsafePhase(w, cj2, skip, rec.RetrySpent)
 
 	// One Result per job: journal-replayed finishes first (their
 	// attempts and bytes counted exactly once — the journal's dedupe
@@ -275,7 +254,7 @@ func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
 	if inj != nil {
 		out.Transitions = inj.Transitions()
 	}
-	finishCrashsafeOutcome(&out, w, o)
+	finishCrashsafeOutcome(&out, w)
 	return out
 }
 
@@ -283,7 +262,7 @@ func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
 // skip names jobs the journal already proved finished; retrySpent
 // re-drains the fresh health tracker's budgets to the journaled level
 // (a crash must not refill a sick provider's bucket).
-func runCrashsafePhase(w *scenario.World, cj *ControlJournal, o CrashsafeOptions, skip map[string]bool, retrySpent map[string]int) ([]Result, Stats) {
+func runCrashsafePhase(w *scenario.World, cj *ControlJournal, skip map[string]bool, retrySpent map[string]int) ([]Result, Stats) {
 	exec := NewSimExecutor(w)
 	defer exec.Close()
 	tracker := health.New(health.Options{
@@ -297,7 +276,6 @@ func runCrashsafePhase(w *scenario.World, cj *ControlJournal, o CrashsafeOptions
 	for _, prov := range providers {
 		tracker.RestoreSpentRetries(prov, retrySpent[prov])
 	}
-	var results []Result
 	cfg := Config{
 		Workers:  1, // sequential ⇒ deterministic
 		Executor: exec, Planner: exec,
@@ -307,48 +285,26 @@ func runCrashsafePhase(w *scenario.World, cj *ControlJournal, o CrashsafeOptions
 		Journal:     cj,
 		Now:         exec.VirtualNow,
 		Sleep:       exec.SleepVirtual,
-		OnResult: func(r Result) {
-			if cj.Killed() {
-				// The process is dead: nothing it produced after the kill
-				// was observed by anyone. The journal is the only witness.
-				return
-			}
-			results = append(results, r)
-		},
 	}
-	s := New(cfg)
-	// Submit before Start: the whole burst lands (and an after-submit
-	// kill fires) with no transfer in flight, so every kill is
-	// synchronous with the single worker — deterministic per seed.
-	for i := 0; i < o.Jobs; i++ {
-		name := crashsafeJobName(i)
-		if skip[name] {
-			continue
-		}
-		if cj.Killed() {
-			// The submitter died with the process.
-			break
-		}
-		err := s.Submit(Job{
-			Tenant: "crashsafe", Client: scenario.UBC,
-			Provider: scenario.GoogleDrive,
-			Name:     name, Size: o.Size,
-			MD5: rsyncx.Checksum([]byte(name)),
-		})
-		if err != nil {
-			panic(err)
+	var jobs []Job
+	for i := 0; i < crashsafeJobs; i++ {
+		if name := crashsafeJobName(i); !skip[name] {
+			jobs = append(jobs, Job{
+				Tenant: "crashsafe", Client: scenario.UBC,
+				Provider: scenario.GoogleDrive,
+				Name:     name, Size: replayJobSize,
+				MD5: rsyncx.Checksum([]byte(name)),
+			})
 		}
 	}
-	s.Start()
-	s.Drain()
-	st := s.Stats()
-	s.Close()
-	return results, st
+	// runFleet stops submitting at the kill and drops every result the
+	// dead process produced after it.
+	return runFleet(cfg, jobs, nil)
 }
 
 // finishCrashsafeOutcome derives the provider-truth fields: the sorted
 // listing, the commit counts, and the merged checkpoint accounting.
-func finishCrashsafeOutcome(out *CrashsafeOutcome, w *scenario.World, o CrashsafeOptions) {
+func finishCrashsafeOutcome(out *CrashsafeOutcome, w *scenario.World) {
 	provs := make([]string, 0, len(w.Services))
 	for p := range w.Services {
 		provs = append(provs, p)
@@ -361,7 +317,7 @@ func finishCrashsafeOutcome(out *CrashsafeOutcome, w *scenario.World, o Crashsaf
 		out.DupSuppressed += w.Services[p].Store.DuplicatesSuppressed()
 	}
 	store := w.Services[scenario.GoogleDrive].Store
-	for i := 0; i < o.Jobs; i++ {
+	for i := 0; i < crashsafeJobs; i++ {
 		if c := store.Commits(crashsafeJobName(i)); c > out.MaxCommits {
 			out.MaxCommits = c
 		}
@@ -475,8 +431,8 @@ func RunCrashsafeSweep(seed int64) (CrashsafeOutcome, []CrashsafeLeg) {
 	return control, legs
 }
 
-// WriteCrashsafeReport renders the deterministic report the crashsafe
-// example and detourd's -crashsafe mode print.
+// WriteCrashsafeReport renders the deterministic sweep report
+// `detourd -replay crashsafe` prints.
 func WriteCrashsafeReport(out io.Writer, control CrashsafeOutcome, legs []CrashsafeLeg) {
 	fmt.Fprintf(out, "Crashsafe: %d-job fleet, kill at every control-plane crash point, restart on the journal\n", len(control.Results))
 	fmt.Fprintf(out, "control: %d done | %d objects | rewritten %.1f MB | %d compactions | %.0f virtual s\n",
@@ -545,9 +501,17 @@ var journalRecName = map[byte]string{
 // the folded state a restart would recover — finished jobs, pending
 // jobs with their checkpoints and idempotent attempt IDs, spent retry
 // tokens, held cap slots. The detourctl -journal flag drives this.
+//
+// The dump is read-only: it replays an in-memory copy of the file, so
+// the torn-tail truncation a restart would perform never reaches the
+// file on disk.
 func WriteJournalDump(out io.Writer, path string) error {
-	dev, err := journal.OpenFileDevice(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
+		return err
+	}
+	dev := journal.NewMemDevice()
+	if err := dev.Swap(b); err != nil {
 		return err
 	}
 	recs, truncated, err := journal.Replay(dev)
@@ -566,7 +530,7 @@ func WriteJournalDump(out io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "journal %s: %d records, %d B", path, len(recs), dev.Size())
+	fmt.Fprintf(out, "journal %s: %d records, %d B", path, len(recs), len(b))
 	if truncated > 0 {
 		fmt.Fprintf(out, " (torn tail: %d B truncated)", truncated)
 	}

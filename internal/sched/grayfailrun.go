@@ -1,18 +1,14 @@
 // Grayfail replay: the gray-failure harness behind `make grayfail`,
-// the examples/grayfail program, detourd's -grayfail mode, and the
-// grayfail acceptance tests. One RunGrayfail call builds a world, arms
-// the faults.GrayfailSchedule — degradations that never return an
-// error: a provider silently throttling one peering point, a DTN's
-// staging disk dying slowly, a link shedding goodput — and drives a
-// fixed UBC fleet through the scheduler, either with the health stack
-// (stall watchdogs, outlier ejection with canary re-admission, retry
-// budgets) or as the DisableHealth ablation that must discover the
-// same degradations the hard way, through the bandit's slow relearning.
-//
-// Everything is deterministic per seed: Workers is 1 (sequential ⇒
-// deterministic), faults are pure functions of the virtual clock, and
-// the report renderer only iterates sorted data. Same seed, same
-// binary ⇒ byte-identical output, which `make check` verifies.
+// `detourd -replay grayfail`, `detourctl -health`, and the grayfail
+// acceptance tests. One RunGrayfail call builds a world, arms the
+// faults.GrayfailSchedule — degradations that never return an error:
+// a provider silently throttling one peering point, a DTN's staging
+// disk dying slowly, a link shedding goodput — and drives a fixed UBC
+// fleet through the scheduler, either with the health stack (stall
+// watchdogs, outlier ejection with canary re-admission, retry
+// budgets) or as the no-health ablation (Health left nil) that must
+// discover the same degradations the hard way, through the bandit's
+// slow relearning. Determinism is the harness's (see replay.go).
 package sched
 
 import (
@@ -25,27 +21,9 @@ import (
 	"detournet/internal/scenario"
 )
 
-// GrayfailOptions configures one gray-failure replay.
-type GrayfailOptions struct {
-	// Seed drives the world and the injected error bits.
-	Seed int64
-	// Jobs is the fleet size (default 60); Size the bytes per transfer
-	// (default 60 MB — long enough that degradation windows land
-	// mid-flight).
-	Jobs int
-	Size float64
-	// Stack arms the health layer. False runs the DisableHealth
-	// ablation: same scheduler, same retries, no gray-failure detection.
-	Stack bool
-}
-
 // GrayfailOutcome is one replay's complete, deterministic result set.
 type GrayfailOutcome struct {
-	// Results in completion order.
-	Results []Result
-	Stats   Stats
-	// Transitions is the fault injector's transition log.
-	Transitions []string
+	Replay
 	// Health is the tracker's transition log (probation entries/exits,
 	// budget exhaustions); empty for the ablation.
 	Health []string
@@ -56,39 +34,18 @@ type GrayfailOutcome struct {
 	// StallTimes are the virtual times of watchdog aborts (the
 	// health.stall trace events), in order — the detection signal.
 	StallTimes []float64
-	// VirtualSeconds is the total simulated time the replay spanned.
-	VirtualSeconds float64
 }
 
-// Goodput is the replay's delivered rate: successfully transferred
-// bytes over the virtual seconds the whole fleet took.
-func (o GrayfailOutcome) Goodput() float64 {
-	if o.VirtualSeconds <= 0 {
-		return 0
-	}
-	var bytes float64
-	for _, r := range o.Results {
-		if r.Err == nil {
-			bytes += r.Job.Size
-		}
-	}
-	return bytes / o.VirtualSeconds
-}
-
-// RunGrayfail replays the gray-failure scenario once.
-func RunGrayfail(o GrayfailOptions) GrayfailOutcome {
-	if o.Jobs <= 0 {
-		o.Jobs = 60
-	}
-	if o.Size <= 0 {
-		o.Size = 60e6
-	}
+// RunGrayfail replays the gray-failure scenario once over a fixed
+// 60-job fleet. Stack arms the health layer; the control arm is the
+// no-health ablation: same scheduler, same retries, no gray-failure
+// detection.
+func RunGrayfail(o ReplayOptions) GrayfailOutcome {
 	w := scenario.Build(o.Seed)
 	inj := faults.NewInjector(w, o.Seed, faults.GrayfailSchedule()...)
 	exec := NewSimExecutor(w)
 	defer exec.Close()
 
-	var results []Result
 	cfg := Config{
 		Workers:  1, // sequential ⇒ deterministic
 		Executor: exec, Planner: exec,
@@ -102,7 +59,6 @@ func RunGrayfail(o GrayfailOptions) GrayfailOutcome {
 		CacheTTL: 3600,
 		Now:      exec.VirtualNow,
 		Sleep:    exec.SleepVirtual,
-		OnResult: func(r Result) { results = append(results, r) },
 	}
 	var tracker *health.Tracker
 	if o.Stack {
@@ -115,34 +71,26 @@ func RunGrayfail(o GrayfailOptions) GrayfailOutcome {
 			CanaryInterval: 60,
 		})
 		cfg.Health = tracker
-	} else {
-		cfg.DisableHealth = true
 	}
-	s := New(cfg)
-	s.Start()
 	// A single-site fleet: UBC to Google Drive. Its favorite detour via
 	// UAlberta is exactly what the schedule silently sickens — first the
 	// provider throttles the DTN's peering point (the relay hop crawls,
 	// invisibly to the client), then the DTN's staging disk degrades
 	// (the first hop crawls, visibly slowly).
-	for i := 0; i < o.Jobs; i++ {
-		err := s.Submit(Job{
+	jobs := make([]Job, 60)
+	for i := range jobs {
+		jobs[i] = Job{
 			Tenant: "grayfail", Client: scenario.UBC,
 			Provider: scenario.GoogleDrive,
-			Name:     fmt.Sprintf("gray-%03d.bin", i), Size: o.Size,
-		})
-		if err != nil {
-			panic(err)
+			Name:     fmt.Sprintf("gray-%03d.bin", i), Size: replayJobSize,
 		}
 	}
-	s.Drain()
-	st := s.Stats()
-	s.Close()
-	out := GrayfailOutcome{
+	results, st := runFleet(cfg, jobs, nil)
+	out := GrayfailOutcome{Replay: Replay{
 		Results: results, Stats: st,
 		Transitions:    inj.Transitions(),
 		VirtualSeconds: exec.VirtualNow(),
-	}
+	}}
 	for _, ev := range w.Trace.Filter("health.stall") {
 		out.StallTimes = append(out.StallTimes, ev.At)
 	}
@@ -219,22 +167,14 @@ func grayWindowStarts(transitions []string) []GrayDetection {
 	return out
 }
 
-// CompareGrayfail scores the DisableHealth ablation against the health
+// CompareGrayfail scores the no-health ablation against the health
 // stack for the same fleet and seed.
 func CompareGrayfail(control, stack GrayfailOutcome) GrayfailVerdict {
 	v := GrayfailVerdict{
 		ControlGoodput: control.Goodput(),
 		StackGoodput:   stack.Goodput(),
-	}
-	for _, r := range control.Results {
-		if r.Err != nil {
-			v.ControlFailed++
-		}
-	}
-	for _, r := range stack.Results {
-		if r.Err != nil {
-			v.StackFailed++
-		}
+		ControlFailed:  control.Failed(),
+		StackFailed:    stack.Failed(),
 	}
 	v.Detections = grayWindowStarts(stack.Transitions)
 	for i := range v.Detections {
@@ -252,8 +192,8 @@ func CompareGrayfail(control, stack GrayfailOutcome) GrayfailVerdict {
 	return v
 }
 
-// WriteGrayfailReport renders the deterministic with/without report the
-// grayfail example and detourd's -grayfail mode print.
+// WriteGrayfailReport renders the deterministic with/without report
+// `detourd -replay grayfail` prints.
 func WriteGrayfailReport(out io.Writer, control, stack GrayfailOutcome) {
 	line := func(label string, o GrayfailOutcome) {
 		st := o.Stats
@@ -282,7 +222,15 @@ func WriteGrayfailReport(out io.Writer, control, stack GrayfailOutcome) {
 		fmt.Fprintf(out, "  %s\n", tr)
 	}
 	fmt.Fprintln(out, "health table:")
-	for _, e := range stack.Table {
+	WriteHealthTable(out, stack.Table)
+	fmt.Fprintln(out, "retry budgets:")
+	WriteRetryBudgets(out, stack.Budgets)
+}
+
+// WriteHealthTable renders one row per tracked entity: learned
+// baseline rate, probation state, stall and observation counts.
+func WriteHealthTable(out io.Writer, table []health.EntityHealth) {
+	for _, e := range table {
 		state := "healthy"
 		if e.Probation {
 			state = "probation"
@@ -290,8 +238,11 @@ func WriteGrayfailReport(out io.Writer, control, stack GrayfailOutcome) {
 		fmt.Fprintf(out, "  %-9s %-16s baseline %6.2f MB/s  %-9s stalls %d  obs %d\n",
 			e.Class, e.Entity, e.Baseline/1e6, state, e.Stalls, e.Observations)
 	}
-	fmt.Fprintln(out, "retry budgets:")
-	for _, b := range stack.Budgets {
+}
+
+// WriteRetryBudgets renders one row per provider retry-token bucket.
+func WriteRetryBudgets(out io.Writer, budgets []health.RetryBudget) {
+	for _, b := range budgets {
 		fmt.Fprintf(out, "  %-12s tokens %.1f  spent %d  denied %d\n",
 			b.Provider, b.Tokens, b.Spent, b.Denied)
 	}

@@ -1,11 +1,10 @@
 // Multipath replay: the striped-vs-single comparison harness behind
-// `make multipath`, the examples/multipath program, and detourd's
-// -multipath mode. One RunMultipath call builds a world, measures every
-// site/provider pair over each single route (direct, via each DTN), and
-// then re-runs the same transfer striped across direct + detours
-// through the scheduler's JobMultipath mode — all sequentially in one
-// simulation, so every measurement sees an idle network and the same
-// seeded topology.
+// `make multipath` and `detourd -replay multipath`. One RunMultipath
+// call builds a world, measures every site/provider pair over each
+// single route (direct, via each DTN), and then re-runs the same
+// transfer striped across direct + detours through the scheduler's
+// JobMultipath mode — all sequentially in one simulation, so every
+// measurement sees an idle network and the same seeded topology.
 //
 // The paper's geometry predicts both outcomes this harness exposes:
 // sites whose direct and detour paths bottleneck on disjoint links
@@ -32,9 +31,6 @@ import (
 type MultipathOptions struct {
 	// Seed drives the world build.
 	Seed int64
-	// Size is the bytes per transfer (default 96 MB = 12 default
-	// chunks, enough for every lane to carry several).
-	Size float64
 	// MaxPaths caps lanes per striped transfer (default 3: direct + 2
 	// detours).
 	MaxPaths int
@@ -92,12 +88,13 @@ func (o MultipathOutcome) WorstSpeedup() float64 {
 	return worst
 }
 
+// multipathJobSize is the bytes per transfer: 96 MB = 12 default
+// chunks, enough for every lane to carry several.
+const multipathJobSize = 96e6
+
 // RunMultipath replays the comparison once over every client/provider
 // pair. See the package comment.
 func RunMultipath(o MultipathOptions) MultipathOutcome {
-	if o.Size <= 0 {
-		o.Size = 96e6
-	}
 	if o.MaxPaths <= 0 {
 		o.MaxPaths = 3
 	}
@@ -125,7 +122,7 @@ func RunMultipath(o MultipathOptions) MultipathOutcome {
 	s := New(cfg)
 	s.Start()
 
-	out := MultipathOutcome{Size: o.Size}
+	out := MultipathOutcome{Size: multipathJobSize}
 	for _, client := range scenario.Clients {
 		for _, provider := range scenario.ProviderNames {
 			pr := PairOutcome{Client: client, Provider: provider}
@@ -135,7 +132,7 @@ func RunMultipath(o MultipathOptions) MultipathOutcome {
 				name := fmt.Sprintf("base-%s-%s-%d.bin", client, provider, ri)
 				sec, err := exec.Execute(Job{
 					Tenant: "mp", Client: client, Provider: provider,
-					Name: name, Size: o.Size,
+					Name: name, Size: multipathJobSize,
 				}, route)
 				leg := SingleLeg{Route: route.String(), Seconds: sec, Err: err}
 				pr.Singles = append(pr.Singles, leg)
@@ -147,7 +144,7 @@ func RunMultipath(o MultipathOptions) MultipathOutcome {
 			name := fmt.Sprintf("mp-%s-%s.bin", client, provider)
 			if err := s.Submit(Job{
 				Tenant: "mp", Client: client, Provider: provider,
-				Name: name, Size: o.Size, Mode: JobMultipath,
+				Name: name, Size: multipathJobSize, Mode: JobMultipath,
 			}); err != nil {
 				panic(err)
 			}
@@ -175,18 +172,22 @@ func RunMultipath(o MultipathOptions) MultipathOutcome {
 
 // MultipathChurnOutcome is the churn leg: one striped transfer driven
 // through the faults.ChurnSchedule storm.
-type MultipathChurnOutcome struct {
-	Result         Result
-	Stats          Stats
-	Transitions    []string
-	VirtualSeconds float64
+type MultipathChurnOutcome struct{ Replay }
+
+// Result is the striped transfer's outcome (zero when it never
+// finished).
+func (o MultipathChurnOutcome) Result() Result {
+	if len(o.Results) == 0 {
+		return Result{}
+	}
+	return o.Results[0]
 }
 
 // WithinResendBound reports whether every path's re-sent bytes stayed
 // within the promise: at most one chunk per failure the churn inflicted
 // on that path (a path that never failed must have re-sent nothing).
 func (o MultipathChurnOutcome) WithinResendBound() bool {
-	rep := o.Result.Multipath
+	rep := o.Result().Multipath
 	if rep == nil {
 		return false
 	}
@@ -201,49 +202,34 @@ func (o MultipathChurnOutcome) WithinResendBound() bool {
 // RunMultipathChurn drives one large striped UBC->GoogleDrive transfer
 // into the reconvergence storm (faults.ChurnSchedule: the first
 // CANARIE~Google withdraw lands at t=60, mid-transfer) and reports how
-// the chunk scheduler absorbed it.
-func RunMultipathChurn(seed int64, size float64) MultipathChurnOutcome {
-	if size <= 0 {
-		size = 480e6
-	}
+// the chunk scheduler absorbed it. The transfer is 480 MB, long
+// enough to still be in flight when the withdraw lands.
+func RunMultipathChurn(seed int64) MultipathChurnOutcome {
 	w := scenario.Build(seed, scenario.WithDynamicRouting())
 	inj := faults.NewInjector(w, seed, faults.ChurnSchedule()...)
 	exec := NewSimExecutor(w)
 	defer exec.Close()
 
-	var results []Result
 	cfg := Config{
 		Workers:  1,
 		Executor: exec, Planner: exec,
-		Now:      exec.VirtualNow,
-		Sleep:    exec.SleepVirtual,
-		OnResult: func(r Result) { results = append(results, r) },
+		Now:   exec.VirtualNow,
+		Sleep: exec.SleepVirtual,
 	}
-	s := New(cfg)
-	s.Start()
-	if err := s.Submit(Job{
+	results, st := runFleet(cfg, []Job{{
 		Tenant: "mp-churn", Client: scenario.UBC,
 		Provider: scenario.GoogleDrive,
-		Name:     "mp-churn.bin", Size: size, Mode: JobMultipath,
-	}); err != nil {
-		panic(err)
-	}
-	s.Drain()
-	st := s.Stats()
-	s.Close()
-	out := MultipathChurnOutcome{
-		Stats:          st,
+		Name:     "mp-churn.bin", Size: 480e6, Mode: JobMultipath,
+	}}, nil)
+	return MultipathChurnOutcome{Replay{
+		Results: results, Stats: st,
 		Transitions:    inj.Transitions(),
 		VirtualSeconds: exec.VirtualNow(),
-	}
-	if len(results) > 0 {
-		out.Result = results[0]
-	}
-	return out
+	}}
 }
 
-// WriteMultipathReport renders the deterministic comparison report the
-// multipath example and detourd's -multipath mode print.
+// WriteMultipathReport renders the deterministic comparison report
+// `detourd -replay multipath` prints.
 func WriteMultipathReport(out io.Writer, o MultipathOutcome, churn MultipathChurnOutcome) {
 	fmt.Fprintf(out, "Multipath: %d site/provider pairs, %.0f MB each, striped across direct + detours\n",
 		len(o.Pairs), o.Size/1e6)
@@ -276,7 +262,7 @@ func WriteMultipathReport(out io.Writer, o MultipathOutcome, churn MultipathChur
 		o.Stats.MultipathDuplicateBytes/1e6)
 
 	fmt.Fprintln(out, "churn leg: one striped transfer vs the reconvergence storm")
-	res := churn.Result
+	res := churn.Result()
 	if res.Err != nil {
 		fmt.Fprintf(out, "  FAILED: %v\n", res.Err)
 		return

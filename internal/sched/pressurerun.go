@@ -1,12 +1,13 @@
 // Pressure replay: the storage-exhaustion harness behind `make
-// pressure`, the examples/pressure program, detourd's -pressure mode,
-// and the pressure acceptance tests. One RunPressure call builds a
-// world whose storage is finite everywhere it used to be bottomless —
-// each DTN gets a bounded staging disk, Google Drive gets a finite
-// account quota, the control-plane journal sits on a bounded device —
-// then arms faults.PressureSchedule (a co-tenant filling the staging
+// pressure`, `detourd -replay pressure`, `detourctl -capacity`, and
+// the pressure acceptance tests. One RunPressure call builds a world
+// whose storage is finite everywhere it used to be bottomless — each
+// DTN gets a bounded staging disk, Google Drive gets a finite account
+// quota, the control-plane journal sits on a bounded device — then
+// arms faults.PressureSchedule (a co-tenant filling the staging
 // volumes, an abandoned client draining the quota, the journal volume
-// filling mid-run) and drives a fixed UBC fleet through the scheduler.
+// filling mid-run) and drives a fixed UBC fleet through the
+// scheduler.
 //
 // The Stack arm runs the full mitigation ladder: LRU eviction of stale
 // staged state, spill-aware placement (route election reads DTN
@@ -17,10 +18,7 @@
 // reclaim pass that frees nothing, and no alternate providers (quota
 // exhaustion parks the job).
 //
-// Everything is deterministic per seed: Workers is 1, faults are pure
-// functions of the virtual clock, and the report renderer only
-// iterates sorted or fixed-order data. Same seed, same binary ⇒
-// byte-identical output, which `make check` verifies.
+// Determinism is the harness's (see replay.go).
 package sched
 
 import (
@@ -48,19 +46,6 @@ const (
 	pressureJournalCap = 256 << 10
 )
 
-// PressureOptions configures one storage-pressure replay.
-type PressureOptions struct {
-	// Seed drives the world and the injected fault windows.
-	Seed int64
-	// Jobs is the fleet size (default 60); Size the bytes per transfer
-	// (default 60 MB).
-	Jobs int
-	Size float64
-	// Stack arms the mitigation ladder. False runs the ablation: no
-	// eviction, no capacity oracle, no reclaim, no spill targets.
-	Stack bool
-}
-
 // StagingSnapshot is one DTN's final staging-disk accounting.
 type StagingSnapshot struct {
 	DTN string
@@ -79,11 +64,7 @@ type QuotaSnapshot struct {
 
 // PressureOutcome is one replay's complete, deterministic result set.
 type PressureOutcome struct {
-	// Results in completion order.
-	Results []Result
-	Stats   Stats
-	// Transitions is the fault injector's transition log.
-	Transitions []string
+	Replay
 	// Health is the tracker's transition log (probation and warning
 	// lines — the journal-degraded warning lands here); empty for the
 	// ablation.
@@ -94,23 +75,6 @@ type PressureOutcome struct {
 	// Quota holds each provider's final storage accounting, in
 	// scenario.ProviderNames order.
 	Quota []QuotaSnapshot
-	// VirtualSeconds is the total simulated time the replay spanned.
-	VirtualSeconds float64
-}
-
-// Goodput is the replay's delivered rate: successfully transferred
-// bytes over the virtual seconds the whole fleet took.
-func (o PressureOutcome) Goodput() float64 {
-	if o.VirtualSeconds <= 0 {
-		return 0
-	}
-	var bytes float64
-	for _, r := range o.Results {
-		if r.Err == nil {
-			bytes += r.Job.Size
-		}
-	}
-	return bytes / o.VirtualSeconds
 }
 
 // noReclaimExec is the ablation's executor: the full SimExecutor minus
@@ -121,14 +85,10 @@ type noReclaimExec struct{ *SimExecutor }
 
 func (e noReclaimExec) ReclaimQuota(provider string) float64 { return 0 }
 
-// RunPressure replays the storage-pressure scenario once.
-func RunPressure(o PressureOptions) PressureOutcome {
-	if o.Jobs <= 0 {
-		o.Jobs = 60
-	}
-	if o.Size <= 0 {
-		o.Size = 60e6
-	}
+// RunPressure replays the storage-pressure scenario once over a fixed
+// 60-job fleet. Stack arms the mitigation ladder; the control arm
+// runs without eviction, capacity oracle, reclaim, or spill targets.
+func RunPressure(o ReplayOptions) PressureOutcome {
 	w := scenario.Build(o.Seed)
 	// Finite storage everywhere the seed world was bottomless. Both arms
 	// get identical bounds — the delta under test is the mitigation, not
@@ -156,7 +116,6 @@ func RunPressure(o PressureOptions) PressureOutcome {
 	exec := NewSimExecutor(w)
 	defer exec.Close()
 
-	var results []Result
 	cfg := Config{
 		Workers:  1, // sequential ⇒ deterministic
 		Executor: exec, Planner: exec,
@@ -168,7 +127,6 @@ func RunPressure(o PressureOptions) PressureOutcome {
 		Now:      exec.VirtualNow,
 		Sleep:    exec.SleepVirtual,
 		Journal:  cj,
-		OnResult: func(r Result) { results = append(results, r) },
 	}
 	var tracker *health.Tracker
 	if o.Stack {
@@ -179,37 +137,30 @@ func RunPressure(o PressureOptions) PressureOutcome {
 		})
 		cfg.Health = tracker
 	} else {
-		cfg.DisableHealth = true
 		cfg.Executor = noReclaimExec{exec}
 	}
-	s := New(cfg)
-	s.Start()
 	// A single-site fleet: UBC to Google Drive, the same shape as the
 	// grayfail fleet — except this time the detour DTNs' disks and the
 	// destination account are what runs out, not their speed. The stack
 	// arm may spill overflow onto the other two providers; the ablation
 	// has nowhere to go.
-	for i := 0; i < o.Jobs; i++ {
-		j := Job{
+	jobs := make([]Job, 60)
+	for i := range jobs {
+		jobs[i] = Job{
 			Tenant: "pressure", Client: scenario.UBC,
 			Provider: scenario.GoogleDrive,
-			Name:     fmt.Sprintf("pressure-%03d.bin", i), Size: o.Size,
+			Name:     fmt.Sprintf("pressure-%03d.bin", i), Size: replayJobSize,
 		}
 		if o.Stack {
-			j.AltProviders = []string{scenario.Dropbox, scenario.OneDrive}
-		}
-		if err := s.Submit(j); err != nil {
-			panic(err)
+			jobs[i].AltProviders = []string{scenario.Dropbox, scenario.OneDrive}
 		}
 	}
-	s.Drain()
-	st := s.Stats()
-	s.Close()
-	out := PressureOutcome{
+	results, st := runFleet(cfg, jobs, nil)
+	out := PressureOutcome{Replay: Replay{
 		Results: results, Stats: st,
 		Transitions:    inj.Transitions(),
 		VirtualSeconds: exec.VirtualNow(),
-	}
+	}}
 	for _, dtn := range scenario.DTNs {
 		out.Staging = append(out.Staging, StagingSnapshot{
 			DTN: dtn, CapacityStats: w.Daemons[dtn].Stats(),
@@ -265,19 +216,11 @@ func ComparePressure(control, stack PressureOutcome) PressureVerdict {
 	v := PressureVerdict{
 		ControlGoodput: control.Goodput(),
 		StackGoodput:   stack.Goodput(),
+		ControlFailed:  control.Failed(),
+		StackFailed:    stack.Failed(),
 		QuotaReclaims:  stack.Stats.QuotaReclaims,
 		ProviderSpills: stack.Stats.ProviderSpills,
 		QuotaParks:     stack.Stats.QuotaParks,
-	}
-	for _, r := range control.Results {
-		if r.Err != nil {
-			v.ControlFailed++
-		}
-	}
-	for _, r := range stack.Results {
-		if r.Err != nil {
-			v.StackFailed++
-		}
 	}
 	for _, sn := range stack.Staging {
 		v.StackEvictions += sn.Evictions
@@ -287,7 +230,7 @@ func ComparePressure(control, stack PressureOutcome) PressureVerdict {
 }
 
 // WritePressureReport renders the deterministic with/without report
-// the pressure example and detourd's -pressure mode print.
+// `detourd -replay pressure` prints.
 func WritePressureReport(out io.Writer, control, stack PressureOutcome) {
 	line := func(label string, o PressureOutcome) {
 		st := o.Stats

@@ -386,9 +386,6 @@ type Config struct {
 	// per-provider retry budgets (exhaustion parks the job with a
 	// *BudgetError). nil turns all of it off.
 	Health *health.Tracker
-	// DisableHealth ignores Health even when set — the ablation switch,
-	// so A/B harnesses can share one config constructor.
-	DisableHealth bool
 
 	// Journal, when set, makes the control plane crash-consistent:
 	// submissions, attempt starts, checkpoint watermarks, cap and
@@ -487,9 +484,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MultipathMaxPaths <= 0 {
 		c.MultipathMaxPaths = 3
-	}
-	if c.DisableHealth {
-		c.Health = nil
 	}
 	if c.CapacityFloor <= 0 {
 		c.CapacityFloor = 64e6

@@ -464,8 +464,8 @@ func TestRetryBackoff(t *testing.T) {
 	var got collector
 	s := New(Config{
 		Workers: 1, Executor: exec, Planner: plan, MaxAttempts: 4,
-		Backoff: Backoff{Base: 0.1, Max: 10, Factor: 2, Jitter: 0.5},
-		Sleep:   func(sec float64) { delays = append(delays, sec) },
+		Backoff:  Backoff{Base: 0.1, Max: 10, Factor: 2, Jitter: 0.5},
+		Sleep:    func(sec float64) { delays = append(delays, sec) },
 		OnResult: got.add,
 	})
 	s.Start()

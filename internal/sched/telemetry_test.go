@@ -11,14 +11,14 @@ import (
 	"detournet/internal/telemetry"
 )
 
-// TestTelemetryRunDeterministic: same seed ⇒ byte-identical report,
+// TestTelemetryRunDeterministic: same seed ⇒ byte-identical
 // Prometheus, JSON, and CSV dumps — the observability plane inherits
-// the repo's determinism contract.
+// the repo's determinism contract. The report text's determinism is
+// TestReplaysDeterministic/telemetry.
 func TestTelemetryRunDeterministic(t *testing.T) {
-	render := func() (report, prom, js, csv string) {
+	render := func() (prom, js, csv string) {
 		o := RunTelemetry(TelemetryOptions{Seed: 7})
-		var r, p, j, c bytes.Buffer
-		WriteTelemetryReport(&r, o)
+		var p, j, c bytes.Buffer
 		if err := o.Snapshot.WritePrometheus(&p); err != nil {
 			t.Fatal(err)
 		}
@@ -28,13 +28,10 @@ func TestTelemetryRunDeterministic(t *testing.T) {
 		if err := o.Snapshot.WriteCSV(&c); err != nil {
 			t.Fatal(err)
 		}
-		return r.String(), p.String(), j.String(), c.String()
+		return p.String(), j.String(), c.String()
 	}
-	r1, p1, j1, c1 := render()
-	r2, p2, j2, c2 := render()
-	if r1 != r2 {
-		t.Error("same-seed telemetry reports differ")
-	}
+	p1, j1, c1 := render()
+	p2, j2, c2 := render()
 	if p1 != p2 {
 		t.Error("same-seed prometheus dumps differ")
 	}

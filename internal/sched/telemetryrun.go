@@ -1,19 +1,20 @@
-// Telemetry replay: the observability harness behind `make telemetry`,
-// the examples/telemetry program, detourd's -telemetry mode, and
-// detourctl's -dash dashboard. One RunTelemetry call builds a world with
-// dynamic routing, arms the reconvergence storm, and drives a
-// flash-crowd fleet through a fully instrumented scheduler: a metrics
-// registry collects counters and histograms, a simclock-driven sampler
-// records per-window time series (link utilization, queue depth, DTN
-// staging fill, provider quota headroom, journal size, active flows)
-// into ring buffers, and a flight recorder keeps the complete decision
+// Telemetry replay: the observability harness behind `make
+// telemetry`, `detourd -replay telemetry`, and detourctl's -dash
+// dashboard. One RunTelemetry call builds a world with dynamic
+// routing, arms the reconvergence storm, and drives a flash-crowd
+// fleet through a fully instrumented scheduler: a metrics registry
+// collects counters and histograms, a simclock-driven sampler records
+// per-window time series (link utilization, queue depth, DTN staging
+// fill, provider quota headroom, journal size, active flows) into
+// ring buffers, and a flight recorder keeps the complete decision
 // trace of every failed transfer.
 //
 // Determinism is inherited, not asserted: one worker, arrivals fed at
-// virtual-time boundaries, the sampler ticking on the virtual clock as a
-// scenario pauser, and report renderers that iterate only sorted data.
-// Same seed, same binary ⇒ byte-identical reports, Prometheus dumps, and
-// JSON exports — which `make check` verifies.
+// virtual-time boundaries (see Feeder), the sampler ticking on the
+// virtual clock as a scenario pauser, and report renderers that
+// iterate only sorted data. Same seed, same binary ⇒ byte-identical
+// reports, Prometheus dumps, and JSON exports — which `make check`
+// verifies.
 package sched
 
 import (
@@ -23,7 +24,6 @@ import (
 	"math/rand"
 
 	"detournet/internal/bgppol"
-	"detournet/internal/core"
 	"detournet/internal/faults"
 	"detournet/internal/journal"
 	"detournet/internal/scenario"
@@ -35,15 +35,11 @@ import (
 type TelemetryOptions struct {
 	// Seed drives the world, the storm, and the flash-crowd trace.
 	Seed int64
-	// Jobs is the fleet size (default 40); Size the bytes per transfer
-	// (default 24 MB).
-	Jobs int
-	Size float64
 	// SampleEvery is the sampler's virtual-second grid (default 15).
 	SampleEvery float64
 	// DumpEvery, when positive with DumpTo set, prints a compact
 	// telemetry line every so many virtual seconds — the periodic dump
-	// behind `detourd -telemetry`.
+	// behind `detourd -replay telemetry`.
 	DumpEvery float64
 	DumpTo    io.Writer
 	// NoInstrument runs the identical storm with the whole telemetry
@@ -57,8 +53,7 @@ type TelemetryOptions struct {
 // snapshots so callers can render or diff them without touching live
 // state.
 type TelemetryOutcome struct {
-	Results []Result
-	Stats   Stats
+	Replay
 	// Snapshot is the metrics registry at end of run.
 	Snapshot telemetry.Snapshot
 	// Series are the sampler's ring buffers, sorted by name.
@@ -68,82 +63,20 @@ type TelemetryOutcome struct {
 	Traces []telemetry.JobTrace
 	// RecorderFinished / RecorderFailed count jobs through the recorder.
 	RecorderFinished, RecorderFailed int
-	// Transitions is the fault injector's transition log.
-	Transitions []string
-	// VirtualSeconds is the simulated span; SampleEvery and Samples
-	// describe the sampling grid actually used.
-	VirtualSeconds float64
-	SampleEvery    float64
-	Samples        int
+	// SampleEvery and Samples describe the sampling grid actually used.
+	SampleEvery float64
+	Samples     int
 }
 
-// Goodput is delivered bytes per virtual second across the whole run.
-func (o TelemetryOutcome) Goodput() float64 {
-	if o.VirtualSeconds <= 0 {
-		return 0
-	}
-	var bytes float64
-	for _, r := range o.Results {
-		if r.Err == nil {
-			bytes += r.Job.Size
-		}
-	}
-	return bytes / o.VirtualSeconds
-}
-
-// telemetryFeeder wraps the simulation executor so every virtual-time
-// advance completes and then offers the new clock to the arrival feed —
-// the overload example's idiom, extended with the rerouting entry point
-// so the churn stack stays armed.
-type telemetryFeeder struct {
-	exec *SimExecutor
-	feed func(now float64)
-}
-
-func (f *telemetryFeeder) after() {
-	if f.feed != nil {
-		f.feed(f.exec.VirtualNow())
-	}
-}
-
-func (f *telemetryFeeder) Execute(j Job, r core.Route) (float64, error) {
-	sec, err := f.exec.Execute(j, r)
-	f.after()
-	return sec, err
-}
-
-func (f *telemetryFeeder) ExecuteResumable(j Job, r core.Route, ck *core.Checkpoint) (float64, error) {
-	sec, err := f.exec.ExecuteResumable(j, r, ck)
-	f.after()
-	return sec, err
-}
-
-func (f *telemetryFeeder) ExecuteRerouting(j Job, r core.Route, ck *core.Checkpoint, parkBudget float64) (float64, core.Route, int, float64, error) {
-	sec, final, nr, parked, err := f.exec.ExecuteRerouting(j, r, ck, parkBudget)
-	f.after()
-	return sec, final, nr, parked, err
-}
-
-func (f *telemetryFeeder) Plan(client, provider string, size float64) (core.Route, []core.Route, error) {
-	route, cands, err := f.exec.Plan(client, provider, size)
-	f.after()
-	return route, cands, err
-}
-
-func (f *telemetryFeeder) Sleep(sec float64) {
-	f.exec.SleepVirtual(sec)
-	f.after()
-}
+// The telemetry fleet: 40 transfers of 24 MB each.
+const (
+	telemetryJobs    = 40
+	telemetryJobSize = 24e6
+)
 
 // RunTelemetry replays the instrumented flash crowd once. See the
 // package comment.
 func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
-	if o.Jobs <= 0 {
-		o.Jobs = 40
-	}
-	if o.Size <= 0 {
-		o.Size = 24e6
-	}
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 15
 	}
@@ -180,10 +113,20 @@ func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
 	// A finite provider quota (ample — double the fleet) makes the
 	// headroom series meaningful without ever rejecting a byte.
 	store := w.Services[scenario.GoogleDrive].Store
-	store.Quota = 2 * float64(o.Jobs) * o.Size
+	store.Quota = 2 * telemetryJobs * telemetryJobSize
 
 	var results []Result
-	fd := &telemetryFeeder{exec: exec}
+	var s *Scheduler
+	// The flash crowd arrives on the virtual clock (see Feeder).
+	fd := NewFeeder(exec, telemetryTrace(o), func(fj workload.FleetJob) {
+		err := s.Submit(Job{
+			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
+			Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
+		})
+		if err != nil {
+			panic(err)
+		}
+	})
 	cfg := Config{
 		Workers:  1, // sequential ⇒ deterministic
 		Executor: fd, Planner: fd,
@@ -201,15 +144,8 @@ func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
 		Sleep:       fd.Sleep,
 		OnResult:    func(r Result) { results = append(results, r) },
 	}
-	s := New(cfg)
-	w.RouteBus.Subscribe(func(ev bgppol.Event) {
-		s.RouteEvent(RouteEvent{
-			Withdraw: ev.Kind == bgppol.EventWithdraw,
-			DomainA:  ev.DomainA, DomainB: ev.DomainB,
-			FromNode: ev.FromNode, ToNode: ev.ToNode,
-			At: ev.At, ConvergedBy: ev.ConvergedBy,
-		})
-	})
+	s = New(cfg)
+	w.RouteBus.Subscribe(func(ev bgppol.Event) { s.RouteEvent(RouteEventOf(ev)) })
 	s.Start()
 
 	// Sampler sources, one probe per series. Link picks: the paper's
@@ -265,8 +201,29 @@ func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
 		})
 	}
 
-	// The flash crowd: a calm lead-in, a burst that lands inside the
-	// storm's churn windows, and a calm tail.
+	fd.Run(s)
+
+	st := s.Stats()
+	s.Close()
+	out := TelemetryOutcome{
+		Replay: Replay{
+			Results: results, Stats: st,
+			Transitions:    inj.Transitions(),
+			VirtualSeconds: exec.VirtualNow(),
+		},
+		Snapshot:    reg.Snapshot(),
+		Series:      samp.Snapshot(),
+		Traces:      rec.Retained(),
+		SampleEvery: o.SampleEvery,
+		Samples:     samp.Samples(),
+	}
+	out.RecorderFinished, out.RecorderFailed = rec.Counts()
+	return out
+}
+
+// telemetryTrace generates the fleet: a calm lead-in, a burst that
+// lands inside the storm's churn windows, and a calm tail.
+func telemetryTrace(o TelemetryOptions) []workload.FleetJob {
 	crowd, err := workload.NewFlashCrowd(
 		workload.Phase{RatePerSec: 0.05, Seconds: 40},
 		workload.Phase{RatePerSec: 0.5, Seconds: 120},
@@ -276,60 +233,18 @@ func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
 		panic(err)
 	}
 	trace, err := workload.GenerateFleet(workload.FleetSpec{
-		Jobs:      o.Jobs,
+		Jobs:      telemetryJobs,
 		Clients:   []string{scenario.UBC, scenario.UAlberta},
 		Providers: []string{scenario.GoogleDrive},
 		Tenants:   []string{"telemetry"},
-		Sizes:     workload.Fixed{Bytes: o.Size},
+		Sizes:     workload.Fixed{Bytes: telemetryJobSize},
 		Arrivals:  crowd,
 		Prefix:    "tlm", PriorityLevels: 1,
 	}, rand.New(rand.NewSource(o.Seed)))
 	if err != nil {
 		panic(err)
 	}
-
-	i := 0
-	feed := func(now float64) {
-		for i < len(trace) && trace[i].At <= now {
-			fj := trace[i]
-			i++
-			err := s.Submit(Job{
-				Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
-				Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
-			})
-			if err != nil {
-				panic(err)
-			}
-		}
-	}
-	fd.feed = feed
-	feed(exec.VirtualNow())
-	for {
-		s.Drain()
-		if i >= len(trace) {
-			break
-		}
-		if next, now := trace[i].At, exec.VirtualNow(); next > now {
-			exec.SleepVirtual(next - now)
-		}
-		feed(exec.VirtualNow())
-	}
-	s.Drain()
-
-	st := s.Stats()
-	s.Close()
-	out := TelemetryOutcome{
-		Results: results, Stats: st,
-		Snapshot:       reg.Snapshot(),
-		Series:         samp.Snapshot(),
-		Traces:         rec.Retained(),
-		Transitions:    inj.Transitions(),
-		VirtualSeconds: exec.VirtualNow(),
-		SampleEvery:    o.SampleEvery,
-		Samples:        samp.Samples(),
-	}
-	out.RecorderFinished, out.RecorderFailed = rec.Counts()
-	return out
+	return trace
 }
 
 // sparkWidth is the dashboard sparkline width in columns.
@@ -341,10 +256,9 @@ func writeSeries(out io.Writer, ss telemetry.SeriesSnapshot) {
 		ss.Name, ss.Min(), ss.Max(), ss.Last(), telemetry.Spark(ss.Values, sparkWidth))
 }
 
-// WriteTelemetryReport renders the deterministic full report the
-// telemetry example and detourd's -telemetry mode print: run stats, the
-// sampled time series with sparklines, the failed jobs' flight-recorder
-// traces decision by decision, and the Prometheus dump.
+// WriteTelemetryReport renders the deterministic full report: run
+// stats, the sampled time series with sparklines, the failed jobs'
+// flight-recorder traces decision by decision, and the Prometheus dump.
 func WriteTelemetryReport(out io.Writer, o TelemetryOutcome) {
 	fmt.Fprintf(out, "Telemetry: %d transfers through a reconvergence storm (%d fault transitions, %.0f virtual s, goodput %.2f MB/s)\n",
 		len(o.Results), len(o.Transitions), o.VirtualSeconds, o.Goodput()/1e6)
