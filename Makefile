@@ -3,7 +3,7 @@ GO ?= go
 # The committed replays (sched.Replays), each run by detourd -replay.
 REPLAYS = churn multipath grayfail crashsafe pressure telemetry
 
-.PHONY: build test vet race bench check fleet chaos overload stress churn multipath grayfail crashsafe pressure telemetry
+.PHONY: build test vet race bench perfbench check fleet chaos overload stress churn multipath grayfail crashsafe pressure telemetry
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 	$(GO) run ./cmd/detourbench -experiment bench -out BENCH_10.json
+
+# Perfbench: the layered benchmark's self-test (perfbench/README.md):
+# BENCHMARK.json and the program agree, every workload passes its
+# correctness gates, and a traced and an untraced run of each workload
+# give the same determinism digest. Builds into .bench_build.
+perfbench:
+	bash perfbench/run.sh --selftest --seed 3
 
 fleet:
 	$(GO) run ./examples/fleet

@@ -51,7 +51,7 @@ func TestMemDeviceSwapFitsSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Compact([]Rec{{Type: 2, Data: []byte("snap")}}); err != nil {
+	if err := w.CompactInPlace(2, framed("snap")); err != nil {
 		t.Fatalf("shrinking swap on a full log: %v", err)
 	}
 	if err := w.Append(1, rec); err != nil {
@@ -84,7 +84,7 @@ func TestMemDeviceClampUnclamp(t *testing.T) {
 		t.Fatalf("clamped append err = %v, want ErrNoSpace", err)
 	}
 	// Compaction still works under the clamp: a smaller snapshot fits.
-	if err := w.Compact([]Rec{{Type: 2, Data: []byte("s")}}); err != nil {
+	if err := w.CompactInPlace(2, framed("s")); err != nil {
 		t.Fatalf("compaction under clamp: %v", err)
 	}
 	m.UnclampCapacity()
@@ -127,7 +127,7 @@ func TestFileDeviceENOSPC(t *testing.T) {
 	if f.Size() != before {
 		t.Fatal("rejected append changed the file log")
 	}
-	if err := w.Compact([]Rec{{Type: 2, Data: []byte("s")}}); err != nil {
+	if err := w.CompactInPlace(2, framed("s")); err != nil {
 		t.Fatalf("shrinking swap: %v", err)
 	}
 	if err := w.Append(1, rec); err != nil {

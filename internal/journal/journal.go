@@ -7,9 +7,12 @@
 // or checksum test, and replay truncates the tail beyond it.
 //
 // The log grows append-only between compactions. A compaction rewrites
-// the device with a snapshot record followed by the still-live tail and
-// installs it atomically (Swap), so a crash during compaction leaves
-// either the old journal or the new one — never a mix.
+// the device with one snapshot record and installs it atomically
+// (Swap), so a crash during compaction leaves either the old journal or
+// the new one — never a mix. The snapshot is built straight into its
+// frame behind a reserved header (CompactInPlace), and Swap takes
+// ownership of that buffer: the device keeps it as its content instead
+// of copying it.
 package journal
 
 import (
@@ -57,7 +60,10 @@ type Device interface {
 	// Append writes b at the end of the log and returns the bytes
 	// actually persisted (a torn write persists fewer than len(b)).
 	Append(b []byte) (int, error)
-	// Swap atomically replaces the whole log content with b.
+	// Swap atomically replaces the whole log content with b. It takes
+	// ownership of b: the device may keep b itself as its content (and
+	// append into its spare capacity), so the caller must not modify or
+	// reuse b after the call, whether or not it succeeds.
 	Swap(b []byte) error
 	// Size returns the current log length in bytes.
 	Size() int
@@ -65,15 +71,22 @@ type Device interface {
 
 // Encode frames one record.
 func Encode(typ byte, data []byte) []byte {
-	b := make([]byte, HeaderSize+len(data))
-	b[0] = Magic
-	b[1] = typ
-	binary.LittleEndian.PutUint32(b[2:6], uint32(len(data)))
+	f := make([]byte, HeaderSize+len(data))
+	copy(f[HeaderSize:], data)
+	putHeader(f, typ)
+	return f
+}
+
+// putHeader fills the header of the frame f, whose payload already
+// follows the HeaderSize bytes reserved for the header.
+func putHeader(f []byte, typ byte) {
+	data := f[HeaderSize:]
+	f[0] = Magic
+	f[1] = typ
+	binary.LittleEndian.PutUint32(f[2:6], uint32(len(data)))
 	crc := crc32.Update(0, castagnoli, []byte{typ})
 	crc = crc32.Update(crc, castagnoli, data)
-	binary.LittleEndian.PutUint32(b[6:10], crc)
-	copy(b[HeaderSize:], data)
-	return b
+	binary.LittleEndian.PutUint32(f[6:10], crc)
 }
 
 // Scan decodes the longest valid prefix of b. It returns the records
@@ -140,14 +153,18 @@ func (w *Writer) Append(typ byte, data []byte) error {
 	return err
 }
 
-// Compact atomically replaces the log with the given records (typically
-// one snapshot record plus the live tail).
-func (w *Writer) Compact(recs []Rec) error {
-	var b []byte
-	for _, r := range recs {
-		b = append(b, Encode(r.Type, r.Data)...)
+// CompactInPlace atomically replaces the log with one record framed in
+// place: buf[:HeaderSize] is reserved for the frame header, which
+// CompactInPlace fills (magic, type, length, CRC32C), and
+// buf[HeaderSize:] already holds the payload, so a large snapshot is
+// never copied into a frame. The device takes ownership of buf (see
+// Device.Swap).
+func (w *Writer) CompactInPlace(typ byte, buf []byte) error {
+	if len(buf) < HeaderSize {
+		return fmt.Errorf("journal: compact: %d-byte buffer has no room for the %d-byte header", len(buf), HeaderSize)
 	}
-	return w.dev.Swap(b)
+	putHeader(buf, typ)
+	return w.dev.Swap(buf)
 }
 
 // Device returns the underlying device.
@@ -206,14 +223,15 @@ func (m *MemDevice) Append(b []byte) (int, error) {
 	return n, nil
 }
 
-// Swap implements Device. A swap whose new content itself exceeds the
-// capacity is refused; a swap that shrinks (or fits) always succeeds,
-// even on a full device — compaction must be able to reclaim space.
+// Swap implements Device, keeping b as the new content. A swap whose
+// new content itself exceeds the capacity is refused; a swap that
+// shrinks (or fits) always succeeds, even on a full device — compaction
+// must be able to reclaim space.
 func (m *MemDevice) Swap(b []byte) error {
 	if m.Capacity > 0 && len(b) > m.Capacity {
 		return ErrNoSpace
 	}
-	m.buf = append(m.buf[:0:0], b...)
+	m.buf = b
 	return nil
 }
 
@@ -324,8 +342,9 @@ func (f *FileDevice) Append(b []byte) (int, error) {
 	return n, err
 }
 
-// Swap implements Device via temp-file + rename. Like MemDevice, a
-// swap is refused only when the new content itself exceeds Capacity.
+// Swap implements Device via temp-file + rename, keeping b as the
+// in-memory copy. Like MemDevice, a swap is refused only when the new
+// content itself exceeds Capacity.
 func (f *FileDevice) Swap(b []byte) error {
 	if f.Capacity > 0 && len(b) > f.Capacity {
 		return ErrNoSpace
@@ -338,7 +357,7 @@ func (f *FileDevice) Swap(b []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	f.buf = append(f.buf[:0:0], b...)
+	f.buf = b
 	return nil
 }
 

@@ -92,12 +92,42 @@ func TestCompactAtomicity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Append(1, []byte{byte(i)})
 	}
-	if err := w.Compact([]Rec{{Type: 9, Data: []byte("snapshot")}, {Type: 1, Data: []byte("tail")}}); err != nil {
+	if err := w.CompactInPlace(9, framed("snapshot")); err != nil {
 		t.Fatal(err)
 	}
+	w.Append(1, []byte("tail"))
 	recs, trunc, _ := Replay(dev)
 	if trunc != 0 || len(recs) != 2 || recs[0].Type != 9 {
 		t.Fatalf("after compact: trunc=%d recs=%v", trunc, recs)
+	}
+}
+
+// framed returns payload behind a reserved frame header, ready for
+// CompactInPlace.
+func framed(payload string) []byte {
+	return append(make([]byte, HeaderSize), payload...)
+}
+
+// TestCompactInPlace: a payload written behind a reserved header is
+// framed exactly as Encode frames it, and the device keeps the buffer
+// it was handed.
+func TestCompactInPlace(t *testing.T) {
+	dev := NewMemDevice()
+	w := NewWriter(dev)
+	w.Append(1, []byte("old"))
+	payload := `{"snapshot":true}`
+	buf := framed(payload)
+	if err := w.CompactInPlace(9, buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := Encode(9, []byte(payload)); !bytes.Equal(dev.Bytes(), want) {
+		t.Fatalf("in-place frame %x, want %x", dev.Bytes(), want)
+	}
+	if &dev.Bytes()[0] != &buf[0] {
+		t.Fatal("Swap copied the buffer it took ownership of")
+	}
+	if err := w.CompactInPlace(9, make([]byte, HeaderSize-1)); err == nil {
+		t.Fatal("a buffer without room for the header framed")
 	}
 }
 

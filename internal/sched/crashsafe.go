@@ -25,11 +25,14 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"detournet/internal/core"
@@ -172,7 +175,9 @@ type finishRec struct {
 }
 
 // snapshotRec is a compaction snapshot: the complete folded state, so
-// replay of (snapshot + tail) equals replay of the full log.
+// replay of (snapshot + tail) equals replay of the full log. Replay
+// decodes it; compaction never marshals it whole but assembles the same
+// bytes (foldState.appendSnapshot).
 type snapshotRec struct {
 	NextSeq    int64
 	Pending    []PendingJob
@@ -240,13 +245,21 @@ type Recovered struct {
 }
 
 // foldState is the journal's folded meaning, maintained live (so
-// compaction can snapshot it) and rebuilt on replay.
+// compaction can snapshot it) and rebuilt on replay. The live path
+// folds each typed record as appended; only replay decodes. Compaction
+// copies encodings instead of re-marshaling the whole state: a finished
+// job is kept once, as its snapshot encoding, and a pending job's
+// encoding is cached until the job next changes.
 type foldState struct {
-	nextSeq    int64
-	seqByName  map[string]int64
-	jobs       map[int64]Job
-	pending    map[int64]*PendingJob
-	finished   []finishedJob
+	nextSeq   int64
+	seqByName map[string]int64
+	pending   map[int64]*PendingJob
+	// pendingEnc caches pending jobs' snapshot encodings; updatePending
+	// drops a job's entry before the job changes.
+	pendingEnc map[int64][]byte
+	// finished holds each finished job's JSON encoding (a finishedJob),
+	// in journal order.
+	finished   [][]byte
 	finishSeqs map[int64]bool
 	retrySpent map[string]int
 	capsHeld   map[string]int
@@ -256,107 +269,112 @@ type foldState struct {
 func newFoldState() *foldState {
 	return &foldState{
 		seqByName:  make(map[string]int64),
-		jobs:       make(map[int64]Job),
 		pending:    make(map[int64]*PendingJob),
+		pendingEnc: make(map[int64][]byte),
 		finishSeqs: make(map[int64]bool),
 		retrySpent: make(map[string]int),
 		capsHeld:   make(map[string]int),
 	}
 }
 
-// apply folds one record. Folding is idempotent where replay can see a
-// record twice (a finish re-journaled after a crash-before-ack).
+// apply decodes one record and folds it: the replay path, and the live
+// path for a record the JSON round trip changes (see appendLocked).
 func (st *foldState) apply(r journal.Rec) error {
+	var v any
 	switch r.Type {
 	case recSubmit:
-		var m submitRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+		v = &submitRec{}
+	case recAttempt:
+		v = &attemptRec{}
+	case recCkpt:
+		v = &ckptRec{}
+	case recCap:
+		v = &capRec{}
+	case recRetry:
+		v = &retryRec{}
+	case recLanes:
+		v = &lanesRec{}
+	case recFinish:
+		v = &finishRec{}
+	case recSnapshot:
+		v = &snapshotRec{}
+	default:
+		return fmt.Errorf("sched: unknown journal record type %d", r.Type)
+	}
+	if err := json.Unmarshal(r.Data, v); err != nil {
+		return err
+	}
+	st.fold(v)
+	return nil
+}
+
+// fold folds one typed record (a pointer to a record struct). Folding
+// is idempotent where replay can see a record twice (a finish
+// re-journaled after a crash-before-ack). The state keeps no slice the
+// record points at: a live record's slices belong to the caller.
+func (st *foldState) fold(v any) {
+	switch m := v.(type) {
+	case *submitRec:
 		if _, ok := st.seqByName[m.Job.Name]; ok {
-			return nil // resubmission of a recovered job: already folded
+			return // resubmission of a recovered job: already folded
 		}
-		st.seqByName[m.Job.Name] = m.Seq
-		st.jobs[m.Seq] = m.Job
-		st.pending[m.Seq] = &PendingJob{Seq: m.Seq, Job: m.Job}
+		job := m.Job
+		job.AltProviders = slices.Clone(job.AltProviders)
+		st.seqByName[job.Name] = m.Seq
+		st.pending[m.Seq] = &PendingJob{Seq: m.Seq, Job: job}
 		if m.Seq >= st.nextSeq {
 			st.nextSeq = m.Seq + 1
 		}
-	case recAttempt:
-		var m attemptRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
-		if pj := st.pending[m.Seq]; pj != nil {
+	case *attemptRec:
+		if pj := st.updatePending(m.Seq); pj != nil {
 			if m.Attempt > pj.PriorAttempts {
 				pj.PriorAttempts = m.Attempt
 			}
 			pj.AttemptID = m.AttemptID
 		}
-	case recCkpt:
-		var m ckptRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
+	case *ckptRec:
+		if pj := st.updatePending(m.Seq); pj != nil {
+			pj.HasCkpt, pj.Ck = true, *m
 		}
-		if pj := st.pending[m.Seq]; pj != nil {
-			pj.HasCkpt, pj.Ck = true, m
-		}
-	case recCap:
-		var m capRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case *capRec:
 		k := m.Provider + "|" + m.Via
 		if m.Acquire {
 			st.capsHeld[k]++
 		} else if st.capsHeld[k]--; st.capsHeld[k] <= 0 {
 			delete(st.capsHeld, k)
 		}
-	case recRetry:
-		var m retryRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case *retryRec:
 		st.retrySpent[m.Provider]++
-	case recLanes:
+	case *lanesRec:
 		// Lane state is observational (the stripe parts are provider
 		// objects; a recovered multipath job re-stripes); nothing folds.
-		var m lanesRec
-		return json.Unmarshal(r.Data, &m)
-	case recFinish:
-		var m finishRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+	case *finishRec:
 		if st.finishSeqs[m.Seq] {
 			st.dupFinish++ // idempotent replay: count the attempt once
-			return nil
+			return
 		}
 		st.finishSeqs[m.Seq] = true
-		job := st.jobs[m.Seq]
+		// A first finish always closes a pending job, except for a seq
+		// the journal never saw submitted, which pairs with no job.
+		var job Job
 		if pj := st.pending[m.Seq]; pj != nil {
 			job = pj.Job
 		}
-		st.finished = append(st.finished, finishedJob{Job: job, Finish: m})
+		st.finished = append(st.finished, st.encode(finishedJob{Job: job, Finish: *m}))
 		delete(st.pending, m.Seq)
-	case recSnapshot:
-		var m snapshotRec
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return err
-		}
+		delete(st.pendingEnc, m.Seq)
+	case *snapshotRec:
 		*st = *newFoldState()
 		st.nextSeq = m.NextSeq
 		for i := range m.Pending {
 			pj := m.Pending[i]
 			st.seqByName[pj.Job.Name] = pj.Seq
-			st.jobs[pj.Seq] = pj.Job
 			st.pending[pj.Seq] = &pj
 		}
 		for _, fj := range m.Finished {
 			st.seqByName[fj.Job.Name] = fj.Finish.Seq
-			st.jobs[fj.Finish.Seq] = fj.Job
 			st.finishSeqs[fj.Finish.Seq] = true
-			st.finished = append(st.finished, fj)
+			st.finished = append(st.finished, st.encode(fj))
 		}
 		for k, v := range m.RetrySpent {
 			st.retrySpent[k] = v
@@ -365,47 +383,112 @@ func (st *foldState) apply(r journal.Rec) error {
 			st.capsHeld[k] = v
 		}
 	default:
-		return fmt.Errorf("sched: unknown journal record type %d", r.Type)
+		panic(fmt.Sprintf("sched: journal fold: unknown record %T", v))
 	}
-	return nil
 }
 
-// snapshot renders the folded state as a compaction record.
-func (st *foldState) snapshot() snapshotRec {
-	snap := snapshotRec{
-		NextSeq:    st.nextSeq,
-		RetrySpent: st.retrySpent,
-		CapsHeld:   st.capsHeld,
-		Finished:   append([]finishedJob(nil), st.finished...),
+// encode marshals one record or snapshot element. Every value the
+// journal writes is plain data, so a failure is a bug.
+func (st *foldState) encode(v any) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("sched: journal marshal: %v", err))
 	}
+	return data
+}
+
+// updatePending returns the pending job seq for the caller to change
+// (nil if not pending), dropping its cached encoding first.
+func (st *foldState) updatePending(seq int64) *PendingJob {
+	delete(st.pendingEnc, seq)
+	return st.pending[seq]
+}
+
+// pendingSeqs returns the pending jobs' seqs in order.
+func (st *foldState) pendingSeqs() []int64 {
 	seqs := make([]int64, 0, len(st.pending))
 	for seq := range st.pending {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		snap.Pending = append(snap.Pending, *st.pending[seq])
-	}
-	return snap
+	slices.Sort(seqs)
+	return seqs
 }
 
-// recovered renders the folded state for the restart path.
+// pendingBySeq returns copies of the pending jobs in seq order (nil
+// when none are pending).
+func (st *foldState) pendingBySeq() []PendingJob {
+	var out []PendingJob
+	for _, seq := range st.pendingSeqs() {
+		pj := *st.pending[seq]
+		pj.Job.AltProviders = slices.Clone(pj.Job.AltProviders)
+		out = append(out, pj)
+	}
+	return out
+}
+
+// appendSnapshot appends the compaction snapshot's payload to b: the
+// bytes json.Marshal of the snapshotRec for this state produces, with
+// the same field order, null for an empty list and HTML escaping. Only
+// the retry and cap maps are always marshaled; the jobs are cached
+// encodings (a pending job's is made here if it changed since).
+func (st *foldState) appendSnapshot(b []byte) []byte {
+	seqs := st.pendingSeqs()
+	pending := make([][]byte, len(seqs))
+	size := 0
+	for _, enc := range st.finished {
+		size += len(enc) + 1
+	}
+	for i, seq := range seqs {
+		enc := st.pendingEnc[seq]
+		if enc == nil {
+			enc = st.encode(st.pending[seq])
+			st.pendingEnc[seq] = enc
+		}
+		pending[i] = enc
+		size += len(enc) + 1
+	}
+	tail := st.encode(struct {
+		RetrySpent map[string]int
+		CapsHeld   map[string]int
+	}{st.retrySpent, st.capsHeld})
+	// appendList writes a JSON array of encoded elements, null if empty.
+	appendList := func(b []byte, encs [][]byte) []byte {
+		if len(encs) == 0 {
+			return append(b, "null"...)
+		}
+		sep := byte('[')
+		for _, enc := range encs {
+			b = append(append(b, sep), enc...)
+			sep = ','
+		}
+		return append(b, ']')
+	}
+	b = append(b, `{"NextSeq":`...)
+	b = strconv.AppendInt(b, st.nextSeq, 10)
+	b = append(b, `,"Pending":`...)
+	b = slices.Grow(b, size+len(`null,"Finished":null,`)+len(tail))
+	b = appendList(b, pending)
+	b = append(b, `,"Finished":`...)
+	b = appendList(b, st.finished)
+	b = append(b, ',')
+	return append(b, tail[1:]...) // the maps, minus the opening brace
+}
+
+// recovered renders the folded state for the restart path. It shares
+// nothing with the state, which keeps folding once the journal runs.
 func (st *foldState) recovered() *Recovered {
 	rec := &Recovered{
-		RetrySpent:  st.retrySpent,
-		CapsHeld:    st.capsHeld,
+		Pending:     st.pendingBySeq(),
+		RetrySpent:  maps.Clone(st.retrySpent),
+		CapsHeld:    maps.Clone(st.capsHeld),
 		DupFinishes: st.dupFinish,
 	}
-	for _, fj := range st.finished {
+	for _, enc := range st.finished {
+		var fj finishedJob
+		if err := json.Unmarshal(enc, &fj); err != nil {
+			panic(fmt.Sprintf("sched: journal: finished-job encoding: %v", err))
+		}
 		rec.Finished = append(rec.Finished, fj.result())
-	}
-	seqs := make([]int64, 0, len(st.pending))
-	for seq := range st.pending {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		rec.Pending = append(rec.Pending, *st.pending[seq])
 	}
 	return rec
 }
@@ -672,10 +755,7 @@ func (cj *ControlJournal) appendLocked(typ byte, v any) {
 	if cj.killed {
 		return
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("sched: journal marshal: %v", err))
-	}
+	data := cj.state.encode(v)
 	if cj.tornArm {
 		if cj.reachLocked(CrashTornAppend) {
 			// Die mid-write: the device keeps a torn prefix of this
@@ -718,11 +798,23 @@ func (cj *ControlJournal) appendLocked(typ byte, v any) {
 	if cj.degraded {
 		cj.droppedAppends++
 	}
-	rec := journal.Rec{Type: typ, Data: data}
-	if err := cj.state.apply(rec); err != nil {
-		panic(fmt.Sprintf("sched: journal fold: %v", err))
+	// Fold the typed value, not its bytes: the two agree except where a
+	// string is not valid UTF-8, which the JSON round trip rewrites (each
+	// bad byte becomes U+FFFD, encoded as the \ufffd escape). Fold such
+	// a record from its bytes so the live state stays what replay
+	// rebuilds.
+	if bytes.Contains(data, escapedRuneError) {
+		if err := cj.state.apply(journal.Rec{Type: typ, Data: data}); err != nil {
+			panic(fmt.Sprintf("sched: journal fold: %v", err))
+		}
+		return
 	}
+	cj.state.fold(v)
 }
+
+// escapedRuneError is how encoding/json writes the replacement for an
+// invalid UTF-8 byte.
+var escapedRuneError = []byte(`\ufffd`)
 
 // enterDegradedLocked flips the journal into in-memory-only mode and
 // fires the onDegraded warning callback once. Callers hold cj.mu; the
@@ -784,7 +876,7 @@ func (cj *ControlJournal) NoteSubmit(j Job) {
 	}
 	if _, known := cj.state.seqByName[j.Name]; !known {
 		seq := cj.state.nextSeq
-		cj.appendLocked(recSubmit, submitRec{Seq: seq, Job: j})
+		cj.appendLocked(recSubmit, &submitRec{Seq: seq, Job: j})
 	}
 	cj.reachLocked(CrashAfterSubmit)
 	cj.mu.Unlock()
@@ -826,7 +918,9 @@ func (cj *ControlJournal) TakeRecovered(name string) *PendingJob {
 	if pj == nil || (pj.PriorAttempts == 0 && !pj.HasCkpt) {
 		return nil
 	}
+	cj.state.updatePending(seq)
 	out := *pj
+	out.Job.AltProviders = slices.Clone(out.Job.AltProviders)
 	pj.PriorAttempts, pj.HasCkpt = 0, false // hand out once
 	return &out
 }
@@ -844,7 +938,7 @@ func (cj *ControlJournal) NoteAttempt(j Job, attempt int, route core.Route) bool
 	if !ok {
 		return cj.killed
 	}
-	cj.appendLocked(recAttempt, attemptRec{
+	cj.appendLocked(recAttempt, &attemptRec{
 		Seq: seq, Name: j.Name, Attempt: attempt,
 		AttemptID: fmt.Sprintf("%s#%d", j.Name, seq),
 		RouteKind: int(route.Kind), RouteVia: route.Via,
@@ -872,7 +966,7 @@ func (cj *ControlJournal) NoteCkpt(j Job, ck *core.Checkpoint, watermark float64
 	if !ok {
 		return
 	}
-	cj.appendLocked(recCkpt, ckptRec{
+	cj.appendLocked(recCkpt, &ckptRec{
 		Seq: seq, Name: j.Name,
 		Hop1Via: ck.Hop1Via, Hop1High: ck.Hop1High,
 		HasSession: ck.HasSession, Session: ck.Session, Hop2High: ck.Hop2High,
@@ -890,12 +984,12 @@ func (cj *ControlJournal) NoteCkpt(j Job, ck *core.Checkpoint, watermark float64
 
 // NoteCap journals a cap-slot acquire or release.
 func (cj *ControlJournal) NoteCap(provider, via string, acquire bool) {
-	cj.append(recCap, capRec{Provider: provider, Via: via, Acquire: acquire})
+	cj.append(recCap, &capRec{Provider: provider, Via: via, Acquire: acquire})
 }
 
 // NoteRetry journals one spent retry token.
 func (cj *ControlJournal) NoteRetry(provider string) {
-	cj.append(recRetry, retryRec{Provider: provider})
+	cj.append(recRetry, &retryRec{Provider: provider})
 }
 
 // NoteLanes journals a multipath attempt's lane chunk assignment.
@@ -906,7 +1000,7 @@ func (cj *ControlJournal) NoteLanes(name string, paths []string, chunks []int) {
 	if !ok {
 		return
 	}
-	cj.appendLocked(recLanes, lanesRec{Seq: seq, Name: name, Paths: paths, Chunks: chunks})
+	cj.appendLocked(recLanes, &lanesRec{Seq: seq, Name: name, Paths: paths, Chunks: chunks})
 }
 
 // NoteFinish journals a terminal result, bracketed (for successes) by
@@ -939,7 +1033,7 @@ func (cj *ControlJournal) NoteFinish(res *Result) {
 	if res.Err != nil {
 		m.Err = res.Err.Error()
 	}
-	cj.appendLocked(recFinish, m)
+	cj.appendLocked(recFinish, &m)
 	if cj.killed { // torn-append fired on this very record
 		return
 	}
@@ -958,15 +1052,14 @@ func (cj *ControlJournal) NoteFinish(res *Result) {
 }
 
 // compactLocked snapshots the folded state and atomically swaps the
-// device to (snapshot) alone. Callers hold cj.mu. A device refusing
-// the swap for space is reported (the pressure path degrades on it);
-// any other failure is a simulator bug and panics.
+// device to (snapshot) alone. The snapshot payload is assembled
+// straight into its frame, behind the reserved header, and the device
+// keeps that buffer. Callers hold cj.mu. A device refusing the swap for
+// space is reported (the pressure path degrades on it); any other
+// failure is a simulator bug and panics.
 func (cj *ControlJournal) compactLocked() error {
-	data, err := json.Marshal(cj.state.snapshot())
-	if err != nil {
-		panic(fmt.Sprintf("sched: snapshot marshal: %v", err))
-	}
-	if err := cj.w.Compact([]journal.Rec{{Type: recSnapshot, Data: data}}); err != nil {
+	buf := cj.state.appendSnapshot(make([]byte, journal.HeaderSize))
+	if err := cj.w.CompactInPlace(recSnapshot, buf); err != nil {
 		if errors.Is(err, journal.ErrNoSpace) {
 			return err
 		}

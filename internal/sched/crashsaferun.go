@@ -101,6 +101,9 @@ type CrashsafeOutcome struct {
 	// Hits is the per-crash-point reach count summed over both
 	// incarnations — the sweep's coverage evidence.
 	Hits map[string]int
+	// lastJournal is the last incarnation's control journal, kept so
+	// tests can replay its device against its live fold.
+	lastJournal *ControlJournal
 }
 
 // crashsafeJobs is the fleet size; every transfer is replayJobSize
@@ -179,6 +182,7 @@ func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
 		// reached). No restart, no replay.
 		out.Results, out.Stats = results1, st1
 		out.IntegrityRetries = st1.IntegrityRetries
+		out.lastJournal = cj
 		finishCrashsafeOutcome(&out, w)
 		if inj != nil {
 			out.Transitions = inj.Transitions()
@@ -246,6 +250,7 @@ func RunCrashsafe(o CrashsafeOptions) CrashsafeOutcome {
 	// restarted scheduler's live ones.
 	out.Results = append(append([]Result{}, rec.Finished...), results2...)
 	out.Stats = st2
+	out.lastJournal = cj2
 	out.IntegrityRetries = st1.IntegrityRetries + st2.IntegrityRetries
 	for _, pt := range CrashPoints() {
 		out.Hits[pt] += cj2.HitCount(pt)
