@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -60,26 +61,7 @@ func main() {
 		}
 	}
 	suite := &experiments.Suite{Options: o}
-
-	runners := map[string]func() string{
-		"fig2":   suite.Fig2,
-		"fig3":   suite.Fig3,
-		"fig4":   suite.Fig4,
-		"fig5":   suite.Fig5,
-		"fig6":   suite.Fig6,
-		"fig7":   suite.Fig7,
-		"fig8":   suite.Fig8,
-		"fig9":   suite.Fig9,
-		"fig10":  suite.Fig10,
-		"fig11":  suite.Fig11,
-		"table1": suite.TableI,
-		"table2": suite.TableII,
-		"table3": suite.TableIII,
-		"table4": suite.TableIV,
-		"table5": suite.TableV,
-	}
-	order := []string{"fig2", "table2", "fig3", "fig4", "fig5", "fig6",
-		"fig7", "table3", "fig8", "fig9", "table4", "fig10", "fig11", "table1", "table5"}
+	runners := experimentRunners(suite)
 
 	if *which == "report" {
 		if err := report.Write(os.Stdout, report.Config{Options: o, Extensions: true}); err != nil {
@@ -150,17 +132,49 @@ func main() {
 		return
 	}
 	if *which == "all" {
-		for _, name := range order {
-			fmt.Println(runners[name]())
-			fmt.Println()
-		}
+		writeAll(os.Stdout, suite)
 		return
 	}
 	fn, ok := runners[strings.ToLower(*which)]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "detourbench: unknown experiment %q (want all, %s)\n",
-			*which, strings.Join(order, ", "))
+			*which, strings.Join(experimentOrder, ", "))
 		os.Exit(2)
 	}
 	fmt.Println(fn())
+}
+
+// experimentOrder is the order -experiment all prints the tables and
+// figures in.
+var experimentOrder = []string{"fig2", "table2", "fig3", "fig4", "fig5", "fig6",
+	"fig7", "table3", "fig8", "fig9", "table4", "fig10", "fig11", "table1", "table5"}
+
+// experimentRunners maps each table and figure name to its renderer.
+func experimentRunners(suite *experiments.Suite) map[string]func() string {
+	return map[string]func() string{
+		"fig2":   suite.Fig2,
+		"fig3":   suite.Fig3,
+		"fig4":   suite.Fig4,
+		"fig5":   suite.Fig5,
+		"fig6":   suite.Fig6,
+		"fig7":   suite.Fig7,
+		"fig8":   suite.Fig8,
+		"fig9":   suite.Fig9,
+		"fig10":  suite.Fig10,
+		"fig11":  suite.Fig11,
+		"table1": suite.TableI,
+		"table2": suite.TableII,
+		"table3": suite.TableIII,
+		"table4": suite.TableIV,
+		"table5": suite.TableV,
+	}
+}
+
+// writeAll prints every table and figure, in experimentOrder.
+func writeAll(w io.Writer, suite *experiments.Suite) {
+	runners := experimentRunners(suite)
+	for _, name := range experimentOrder {
+		fmt.Fprintln(w, runners[name]())
+		fmt.Fprintln(w)
+	}
 }

@@ -1,0 +1,57 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"detournet/internal/sched"
+)
+
+// TestReplayDigests pins every byte each committed replay prints
+// (`detourd -replay NAME` at its committed seed) against the SHA-256
+// in testdata/replays.sha256, so an output change between commits
+// fails here, not only a difference between two runs of one build.
+// When an output change is intended, regenerate the file with
+//
+//	for r in churn crashsafe grayfail multipath pressure telemetry; do
+//		go run ./cmd/detourd -replay $r | sha256sum | sed "s/-\$/$r/"
+//	done >cmd/detourd/testdata/replays.sha256
+func TestReplayDigests(t *testing.T) {
+	f, err := os.Open("testdata/replays.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if fields := strings.Fields(sc.Text()); len(fields) == 2 {
+			want[fields[1]] = fields[0]
+		}
+	}
+	names := make([]string, 0, len(sched.Replays))
+	for name := range sched.Replays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if len(want) != len(names) {
+		t.Fatalf("testdata lists %d replays, sched.Replays has %d (%v)", len(want), len(names), names)
+	}
+	for _, name := range names {
+		e := sched.Replays[name]
+		var out bytes.Buffer
+		if err := e.Run(&out, e.Seed); err != nil {
+			t.Fatalf("replay %s: %v", name, err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("replay %s output sha256 %s, committed %q", name, got, want[name])
+		}
+	}
+}

@@ -456,13 +456,15 @@ func (f Finder) Path(g *topology.Graph, src, dst *topology.Node) ([]*topology.No
 
 // expandDomainPath turns a domain-level AS path into node hops using
 // hot-potato routing inside each domain. Shared by the static Finder
-// and the staged-convergence DynamicFinder.
+// and the staged-convergence DynamicFinder. The node list is taken once
+// here and shared by every border and intra-domain search below.
 func expandDomainPath(g *topology.Graph, src, dst *topology.Node, doms []string) ([]*topology.Node, error) {
+	nodes := g.Nodes()
 	full := []*topology.Node{src}
 	cur := src
 	for i := 0; i+1 < len(doms); i++ {
 		nextDom := doms[i+1]
-		seg, exit, err := nearestBorder(g, cur, doms[i], nextDom)
+		seg, exit, err := nearestBorder(g, nodes, cur, doms[i], nextDom)
 		if err != nil {
 			return nil, fmt.Errorf("bgppol: %s->%s: %w", doms[i], nextDom, err)
 		}
@@ -471,7 +473,7 @@ func expandDomainPath(g *topology.Graph, src, dst *topology.Node, doms []string)
 		cur = exit
 	}
 	if cur != dst {
-		seg, err := intraPath(g, cur, dst, dst.Domain)
+		seg, err := intraPath(g, nodes, cur, dst, dst.Domain)
 		if err != nil {
 			return nil, fmt.Errorf("bgppol: within %s: %w", dst.Domain, err)
 		}
@@ -482,15 +484,15 @@ func expandDomainPath(g *topology.Graph, src, dst *topology.Node, doms []string)
 
 // nearestBorder finds the shortest intra-domain path from start to a
 // router in domain dom that has an edge into domain next, returning the
-// path and the first node on the far side.
-func nearestBorder(g *topology.Graph, start *topology.Node, dom, next string) ([]*topology.Node, *topology.Node, error) {
+// path and the first node on the far side. nodes is g.Nodes().
+func nearestBorder(g *topology.Graph, nodes []*topology.Node, start *topology.Node, dom, next string) ([]*topology.Node, *topology.Node, error) {
 	type cand struct {
 		path []*topology.Node
 		exit *topology.Node
 		cost float64
 	}
 	bestC := cand{cost: math.Inf(1)}
-	for _, n := range g.Nodes() {
+	for _, n := range nodes {
 		if n.Domain != dom {
 			continue
 		}
@@ -504,7 +506,7 @@ func nearestBorder(g *topology.Graph, start *topology.Node, dom, next string) ([
 		if far == nil {
 			continue
 		}
-		seg, err := intraPath(g, start, n, dom)
+		seg, err := intraPath(g, nodes, start, n, dom)
 		if err != nil {
 			continue
 		}
@@ -523,8 +525,9 @@ func nearestBorder(g *topology.Graph, start *topology.Node, dom, next string) ([
 	return bestC.path, bestC.exit, nil
 }
 
-// intraPath is delay-weighted Dijkstra restricted to one domain's nodes.
-func intraPath(g *topology.Graph, src, dst *topology.Node, dom string) ([]*topology.Node, error) {
+// intraPath is delay-weighted Dijkstra restricted to one domain's nodes;
+// nodes is g.Nodes(), whose order breaks ties.
+func intraPath(g *topology.Graph, nodes []*topology.Node, src, dst *topology.Node, dom string) ([]*topology.Node, error) {
 	if src == dst {
 		return []*topology.Node{src}, nil
 	}
@@ -534,7 +537,7 @@ func intraPath(g *topology.Graph, src, dst *topology.Node, dom string) ([]*topol
 	for {
 		cur := ""
 		best := math.Inf(1)
-		for _, n := range g.Nodes() {
+		for _, n := range nodes {
 			if n.Domain != dom || visited[n.Name] {
 				continue
 			}

@@ -10,6 +10,15 @@
 // below its fair share: receive windows, slow-start ramping (driven by
 // package tcpmodel), and application pacing. Cross-traffic (package
 // xtraffic) modulates the capacity a link has left for foreground flows.
+//
+// Work is proportional to where flows are. Max-min filling visits only
+// links that carry a flow, a reallocation moves each flow's existing
+// completion event instead of allocating a new one, and a link's
+// cross-traffic process runs lazily through its LoadSource: it keeps
+// no engine event while the link is idle, and the network catches it
+// up before any read or write of the link's load (Load, Available,
+// Utilization, SetLinkLoad) and wakes it when a flow starts on the
+// idle link.
 package fluid
 
 import (
@@ -43,6 +52,41 @@ type Link struct {
 	PropDelay float64
 
 	flows []*Flow // active flows crossing this link, ordered by flow id
+
+	src  LoadSource // lazily evaluated cross-traffic process, or nil
+	mark uint64     // computeMaxMin's busy-link collection stamp
+}
+
+// LoadSource is a cross-traffic process driving a link's load that
+// keeps no engine event while the link is idle (package xtraffic). Its
+// re-samples on an idle link touch nothing but the load, so it may
+// apply them late, as long as every one lands before anybody looks.
+type LoadSource interface {
+	// CatchUp applies every re-sample due at or before now, in order,
+	// exactly as eagerly scheduled events would have. The source writes
+	// the load through SetLinkLoad, which calls CatchUp again: that
+	// nested call must return at once.
+	CatchUp()
+	// Wake catches up and schedules the next re-sample as an engine
+	// event. The network calls it when a flow starts on the idle link,
+	// before the flow joins the link.
+	Wake()
+}
+
+// SetLoadSource installs the link's load source, or removes it when s
+// is nil. A link has at most one source.
+func (l *Link) SetLoadSource(s LoadSource) {
+	if s != nil && l.src != nil {
+		panic(fmt.Sprintf("fluid: link %q already has a load source", l.Name))
+	}
+	l.src = s
+}
+
+// sync brings the load source up to now.
+func (l *Link) sync() {
+	if l.src != nil {
+		l.src.CatchUp()
+	}
 }
 
 // maxLoad bounds cross-traffic so foreground flows always make progress;
@@ -51,11 +95,21 @@ const maxLoad = 0.98
 
 // Available returns the capacity currently left for foreground flows.
 func (l *Link) Available() float64 {
+	l.sync()
+	return l.available()
+}
+
+// available is Available without the sync, for links that carry a
+// flow: their source is always scheduled, never behind.
+func (l *Link) available() float64 {
 	return l.Capacity * (1 - l.load)
 }
 
 // Load returns the current cross-traffic fraction.
-func (l *Link) Load() float64 { return l.load }
+func (l *Link) Load() float64 {
+	l.sync()
+	return l.load
+}
 
 // Utilization returns the fraction of capacity in use right now:
 // cross-traffic load plus the allocated rates of every foreground flow
@@ -64,6 +118,7 @@ func (l *Link) Utilization() float64 {
 	if l.Capacity <= 0 {
 		return 0
 	}
+	l.sync()
 	used := l.load * l.Capacity
 	for _, f := range l.flows {
 		used += f.rate
@@ -114,6 +169,7 @@ type Flow struct {
 
 	// progressive-filling scratch state
 	frozen bool
+	effCap float64 // cap combined with the path's per-flow link caps
 }
 
 // Rate returns the flow's current allocated rate in bytes/second.
@@ -142,6 +198,9 @@ type Network struct {
 	flows    []*Flow // active flows, ordered by id
 	nextFlow int
 	nextLink int
+
+	busy  []*Link // computeMaxMin scratch: links carrying a flow
+	stamp uint64  // computeMaxMin's current Link.mark
 
 	// Reallocations counts global rate recomputations, exposed for
 	// performance tests and benchmarks.
@@ -181,6 +240,7 @@ func (n *Network) SetLinkLoad(l *Link, fraction float64) {
 		panic("fluid: NaN link load")
 	}
 	fraction = math.Max(0, math.Min(maxLoad, fraction))
+	l.sync()
 	if fraction == l.load {
 		return
 	}
@@ -219,6 +279,11 @@ func (n *Network) StartFlow(path []*Link, bytes float64, opts FlowOpts) *Flow {
 	cap := opts.RateCap
 	if cap <= 0 {
 		cap = Inf
+	}
+	for _, l := range path {
+		if len(l.flows) == 0 && l.src != nil {
+			l.src.Wake()
+		}
 	}
 	f := &Flow{
 		id:         n.nextFlow,
@@ -408,7 +473,9 @@ func (n *Network) reallocate() {
 
 	n.computeMaxMin()
 
-	// Reschedule completions under the new rates.
+	// Move completions to the new rates. Reschedule hands out a fresh
+	// sequence number just as Cancel plus Schedule would, in the same
+	// flow order, so events pop in the same order.
 	for _, f := range n.flows {
 		var at simclock.Time
 		if f.rate <= 0 {
@@ -416,11 +483,15 @@ func (n *Network) reallocate() {
 		} else {
 			at = now + simclock.Time(f.remaining/f.rate)
 		}
-		if f.completion != nil {
-			n.eng.Cancel(f.completion)
-			f.completion = nil
-		}
-		if at != simclock.Infinity {
+		switch {
+		case at == simclock.Infinity:
+			if f.completion != nil {
+				n.eng.Cancel(f.completion)
+				f.completion = nil
+			}
+		case f.completion != nil:
+			n.eng.Reschedule(f.completion, at)
+		default:
 			f := f
 			f.completion = n.eng.Schedule(at, func() { n.complete(f) })
 		}
@@ -447,35 +518,42 @@ func (n *Network) complete(f *Flow) {
 // flows' rates rise together; a flow freezes when a link on its path
 // saturates or when it reaches its own cap. The result is the unique
 // max-min fair allocation.
+//
+// Only links that carry a flow take part: an idle link has no unfrozen
+// flow to bound or freeze. Both per-round link passes are
+// order-independent (a minimum, and a union of saturated links' flows),
+// and each link still sums its own flows in flow-id order, so visiting
+// busy links in first-seen order gives the same rates bit for bit.
 func (n *Network) computeMaxMin() {
 	if len(n.flows) == 0 {
 		return
 	}
+	n.stamp++
+	busy := n.busy[:0]
 	for _, f := range n.flows {
 		f.rate = 0
 		f.frozen = false
-	}
-	// Effective per-flow ceiling: the external cap combined with any
-	// per-flow caps (firewalls) on the path.
-	effCap := func(f *Flow) float64 {
+		// Effective per-flow ceiling: the external cap combined with
+		// any per-flow caps (firewalls) on the path.
 		c := f.cap
 		for _, l := range f.path {
 			if l.FlowCap > 0 && l.FlowCap < c {
 				c = l.FlowCap
 			}
+			if l.mark != n.stamp {
+				l.mark = n.stamp
+				busy = append(busy, l)
+			}
 		}
-		return c
+		f.effCap = c
 	}
-	caps := make(map[*Flow]float64, len(n.flows))
-	for _, f := range n.flows {
-		caps[f] = effCap(f)
-	}
+	n.busy = busy
 	unfrozen := len(n.flows)
 	for unfrozen > 0 {
 		// Smallest headroom-per-flow across links with unfrozen flows,
 		// and smallest cap slack across unfrozen flows.
 		delta := math.Inf(1)
-		for _, l := range n.links {
+		for _, l := range busy {
 			cnt := 0
 			used := 0.0
 			for _, f := range l.flows {
@@ -487,7 +565,7 @@ func (n *Network) computeMaxMin() {
 			if cnt == 0 {
 				continue
 			}
-			d := (l.Available() - used) / float64(cnt)
+			d := (l.available() - used) / float64(cnt)
 			if d < delta {
 				delta = d
 			}
@@ -496,7 +574,7 @@ func (n *Network) computeMaxMin() {
 			if f.frozen {
 				continue
 			}
-			if slack := caps[f] - f.rate; slack < delta {
+			if slack := f.effCap - f.rate; slack < delta {
 				delta = slack
 			}
 		}
@@ -515,7 +593,7 @@ func (n *Network) computeMaxMin() {
 			}
 		}
 		// Freeze flows at saturated links or at their caps.
-		for _, l := range n.links {
+		for _, l := range busy {
 			used := 0.0
 			hasUnfrozen := false
 			for _, f := range l.flows {
@@ -527,7 +605,7 @@ func (n *Network) computeMaxMin() {
 			if !hasUnfrozen {
 				continue
 			}
-			if l.Available()-used <= 1e-9*math.Max(1, l.Available()) {
+			if avail := l.available(); avail-used <= 1e-9*math.Max(1, avail) {
 				for _, f := range l.flows {
 					if !f.frozen {
 						f.frozen = true
@@ -537,7 +615,7 @@ func (n *Network) computeMaxMin() {
 			}
 		}
 		for _, f := range n.flows {
-			c := caps[f]
+			c := f.effCap
 			if !f.frozen && !math.IsInf(c, 1) && c-f.rate <= 1e-12*math.Max(1, c) {
 				f.frozen = true
 				unfrozen--

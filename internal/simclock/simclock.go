@@ -97,12 +97,11 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
-// (before Now) panics: it is always a model bug, and silently clamping
-// would hide it.
+// (before Now) or at NaN panics: either is always a model bug. Clamping
+// would hide a past time, and a NaN event would stall the queue for
+// good, since NaN compares false against every deadline.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, e.now))
-	}
+	e.checkTime("schedule", at)
 	if fn == nil {
 		panic("simclock: nil event func")
 	}
@@ -112,7 +111,18 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	return ev
 }
 
-// After runs fn d seconds from now. Negative d panics via Schedule.
+// checkTime panics when at is before now or NaN.
+func (e *Engine) checkTime(op string, at Time) {
+	if math.IsNaN(float64(at)) {
+		panic(fmt.Sprintf("simclock: %s at NaN", op))
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("simclock: %s at %v before now %v", op, at, e.now))
+	}
+}
+
+// After runs fn d seconds from now. Negative or NaN d panics via
+// Schedule.
 func (e *Engine) After(d Duration, fn func()) *Event {
 	return e.Schedule(e.now+Time(d), fn)
 }
@@ -129,15 +139,16 @@ func (e *Engine) Cancel(ev *Event) bool {
 }
 
 // Reschedule moves a pending event to a new absolute time, preserving
-// nothing but its callback. It reports whether the event was still
-// pending. A fired or cancelled event is left alone.
+// nothing but its callback: it takes a fresh sequence number exactly as
+// Cancel plus Schedule would, so it reorders nothing, but it allocates
+// neither an event nor a closure. It reports whether the event was
+// still pending. A fired or cancelled event is left alone. A past or
+// NaN time panics, as in Schedule.
 func (e *Engine) Reschedule(ev *Event, at Time) bool {
 	if ev == nil || ev.fired || ev.cancel || ev.index < 0 {
 		return false
 	}
-	if at < e.now {
-		panic(fmt.Sprintf("simclock: reschedule at %v before now %v", at, e.now))
-	}
+	e.checkTime("reschedule", at)
 	ev.at = at
 	ev.seq = e.seq
 	e.seq++

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -62,6 +63,37 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	e.Schedule(5, func() {})
+}
+
+// TestNaNTimePanics is the regression for a NaN event stalling the
+// engine: NaN < now is false, so Schedule used to accept it, and once
+// the NaN event reached the heap top RunUntil's "at <= deadline" test
+// failed and Run returned with every later event still pending.
+func TestNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s at NaN did not panic", name)
+			}
+		}()
+		fn()
+	}
+	e := NewEngine()
+	mustPanic("Schedule", func() { e.Schedule(nan, func() {}) })
+	mustPanic("After", func() { e.After(math.NaN(), func() {}) })
+	ev := e.Schedule(2, func() {})
+	mustPanic("Reschedule", func() { e.Reschedule(ev, nan) })
+
+	// The rejected calls left the queue usable: the t=1 and t=2 events
+	// both run.
+	ran := 0
+	e.Schedule(1, func() { ran++ })
+	e.Run()
+	if ran != 1 || e.Now() != 2 || e.Pending() != 0 {
+		t.Fatalf("after NaN rejects: ran=%d now=%v pending=%d, want 1, 2, 0", ran, e.Now(), e.Pending())
+	}
 }
 
 func TestNilFuncPanics(t *testing.T) {
@@ -294,6 +326,50 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
+// Property: moving an event with Reschedule runs everything in the same
+// order as cancelling it and scheduling a fresh one at the new time.
+func TestPropertyRescheduleMatchesCancelSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		starts := make([]Time, 30)
+		for i := range starts {
+			starts[i] = Time(rng.Intn(5))
+		}
+		moves := make([][2]int, 40)
+		for i := range moves {
+			moves[i] = [2]int{rng.Intn(len(starts)), rng.Intn(10)}
+		}
+		run := func(reuse bool) []int {
+			e := NewEngine()
+			var got []int
+			evs := make([]*Event, len(starts))
+			for i, at := range starts {
+				i := i
+				evs[i] = e.Schedule(at, func() { got = append(got, i) })
+			}
+			for _, m := range moves {
+				i, at := m[0], Time(m[1])
+				if reuse {
+					e.Reschedule(evs[i], at)
+				} else if e.Cancel(evs[i]) {
+					evs[i] = e.Schedule(at, func() { got = append(got, i) })
+				}
+			}
+			e.Run()
+			return got
+		}
+		a, b := run(true), run(false)
+		if len(a) != len(starts) || len(b) != len(starts) {
+			t.Fatalf("trial %d: %d and %d events ran, want %d", trial, len(a), len(b), len(starts))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("trial %d: order diverged at %d: %v vs %v", trial, i, a, b)
+			}
+		}
+	}
+}
+
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
@@ -315,5 +391,23 @@ func BenchmarkCancelHeavy(b *testing.B) {
 			e.Cancel(evs[j])
 		}
 		e.Run()
+	}
+}
+
+// BenchmarkEngineScheduleStep is the engine's steady state: a queue of
+// 1000 pending events where each step pops one and schedules its
+// successor, the pattern of every self-rescheduling model process.
+func BenchmarkEngineScheduleStep(b *testing.B) {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	var tick func()
+	tick = func() { e.After(rng.Float64(), tick) }
+	for j := 0; j < 1000; j++ {
+		e.Schedule(Time(rng.Float64()), tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

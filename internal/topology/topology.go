@@ -55,6 +55,7 @@ type Edge struct {
 	From, To *Node
 	Link     *fluid.Link
 	down     bool
+	to       int // To's node index, for dijkstra
 }
 
 // Down reports whether the edge is administratively down.
@@ -75,9 +76,9 @@ type LinkSpec struct {
 // Graph is the network topology bound to a fluid network.
 type Graph struct {
 	fl    *fluid.Network
-	nodes map[string]*Node
-	order []string           // node names in insertion order, for determinism
-	out   map[string][]*Edge // adjacency, sorted by target name
+	index map[string]int // node name -> index into nodes
+	nodes []*Node        // in insertion order, for determinism
+	out   [][]*Edge      // adjacency by node index, sorted by target name
 
 	overrides    map[pair][]string // explicit routed node paths
 	overridesOff map[pair]bool     // administratively suspended pins
@@ -108,8 +109,7 @@ func New(fl *fluid.Network) *Graph {
 	}
 	return &Graph{
 		fl:        fl,
-		nodes:     make(map[string]*Node),
-		out:       make(map[string][]*Edge),
+		index:     make(map[string]int),
 		overrides: make(map[pair][]string),
 		router:    MinDelay{},
 	}
@@ -131,14 +131,15 @@ func (g *Graph) AddNode(n *Node) (*Node, error) {
 	if n == nil || n.Name == "" {
 		return nil, fmt.Errorf("topology: node must have a name")
 	}
-	if _, ok := g.nodes[n.Name]; ok {
+	if _, ok := g.index[n.Name]; ok {
 		return nil, fmt.Errorf("topology: duplicate node %q", n.Name)
 	}
 	if n.Hostname == "" {
 		n.Hostname = n.Name
 	}
-	g.nodes[n.Name] = n
-	g.order = append(g.order, n.Name)
+	g.index[n.Name] = len(g.nodes)
+	g.nodes = append(g.nodes, n)
+	g.out = append(g.out, nil)
 	return n, nil
 }
 
@@ -153,13 +154,16 @@ func (g *Graph) MustAddNode(n *Node) *Node {
 
 // Node returns a node by name.
 func (g *Graph) Node(name string) (*Node, bool) {
-	n, ok := g.nodes[name]
-	return n, ok
+	i, ok := g.index[name]
+	if !ok {
+		return nil, false
+	}
+	return g.nodes[i], true
 }
 
 // MustNode returns a node by name, panicking if absent.
 func (g *Graph) MustNode(name string) *Node {
-	n, ok := g.nodes[name]
+	n, ok := g.Node(name)
 	if !ok {
 		panic(fmt.Sprintf("topology: unknown node %q", name))
 	}
@@ -168,11 +172,7 @@ func (g *Graph) MustNode(name string) *Node {
 
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, len(g.order))
-	for i, name := range g.order {
-		out[i] = g.nodes[name]
-	}
-	return out
+	return append([]*Node(nil), g.nodes...)
 }
 
 // Connect adds a bidirectional adjacency with symmetric specs.
@@ -192,18 +192,19 @@ func (g *Graph) MustConnect(a, b string, spec LinkSpec) {
 
 // ConnectAsym adds one direction of an adjacency.
 func (g *Graph) ConnectAsym(from, to string, spec LinkSpec) error {
-	fn, ok := g.nodes[from]
+	fi, ok := g.index[from]
 	if !ok {
 		return fmt.Errorf("topology: unknown node %q", from)
 	}
-	tn, ok := g.nodes[to]
+	ti, ok := g.index[to]
 	if !ok {
 		return fmt.Errorf("topology: unknown node %q", to)
 	}
 	if from == to {
 		return fmt.Errorf("topology: self-link at %q", from)
 	}
-	for _, e := range g.out[from] {
+	fn, tn := g.nodes[fi], g.nodes[ti]
+	for _, e := range g.out[fi] {
 		if e.To == tn {
 			return fmt.Errorf("topology: duplicate edge %s->%s", from, to)
 		}
@@ -220,8 +221,9 @@ func (g *Graph) ConnectAsym(from, to string, spec LinkSpec) error {
 	}
 	link := g.fl.AddLink(fmt.Sprintf("%s->%s", from, to), spec.CapacityBps, delay)
 	link.FlowCap = spec.PerFlowCapBps
-	g.out[from] = append(g.out[from], &Edge{From: fn, To: tn, Link: link})
-	sort.Slice(g.out[from], func(i, j int) bool { return g.out[from][i].To.Name < g.out[from][j].To.Name })
+	out := append(g.out[fi], &Edge{From: fn, To: tn, Link: link, to: ti})
+	sort.Slice(out, func(i, j int) bool { return out[i].To.Name < out[j].To.Name })
+	g.out[fi] = out
 	return nil
 }
 
@@ -234,12 +236,16 @@ func (g *Graph) MustConnectAsym(from, to string, spec LinkSpec) {
 
 // Edges returns the out-edges of a node, sorted by target name.
 func (g *Graph) Edges(name string) []*Edge {
-	return g.out[name]
+	i, ok := g.index[name]
+	if !ok {
+		return nil
+	}
+	return g.out[i]
 }
 
 // Edge returns the directed edge from->to.
 func (g *Graph) Edge(from, to string) (*Edge, bool) {
-	for _, e := range g.out[from] {
+	for _, e := range g.Edges(from) {
 		if e.To.Name == to {
 			return e, true
 		}
@@ -363,8 +369,8 @@ func (g *Graph) KillEdgeFlows(from, to string) int {
 // killed.
 func (g *Graph) KillDomainBoundaryFlows(a, b string) int {
 	n := 0
-	for _, name := range g.order {
-		for _, e := range g.out[name] {
+	for _, out := range g.out {
+		for _, e := range out {
 			ad, bd := e.From.Domain, e.To.Domain
 			if (ad == a && bd == b) || (ad == b && bd == a) {
 				n += g.KillEdgeFlows(e.From.Name, e.To.Name)
@@ -377,11 +383,11 @@ func (g *Graph) KillDomainBoundaryFlows(a, b string) int {
 // Path returns the routed node sequence from src to dst, honouring
 // overrides first and the installed Router otherwise.
 func (g *Graph) Path(src, dst string) ([]*Node, error) {
-	s, ok := g.nodes[src]
+	s, ok := g.Node(src)
 	if !ok {
 		return nil, fmt.Errorf("topology: unknown src %q", src)
 	}
-	d, ok := g.nodes[dst]
+	d, ok := g.Node(dst)
 	if !ok {
 		return nil, fmt.Errorf("topology: unknown dst %q", dst)
 	}
@@ -391,7 +397,7 @@ func (g *Graph) Path(src, dst string) ([]*Node, error) {
 	if hops, ok := g.overrides[pair{src, dst}]; ok && !g.overridesOff[pair{src, dst}] && g.overrideUsable(hops) {
 		out := make([]*Node, len(hops))
 		for i, h := range hops {
-			out[i] = g.nodes[h]
+			out[i] = g.MustNode(h)
 		}
 		return out, nil
 	}
@@ -411,7 +417,7 @@ func (g *Graph) overrideUsable(hops []string) bool {
 	if g.overrideVeto != nil {
 		nodes := make([]*Node, len(hops))
 		for i, h := range hops {
-			nodes[i] = g.nodes[h]
+			nodes[i] = g.MustNode(h)
 		}
 		if g.overrideVeto(nodes) {
 			return false
@@ -519,33 +525,44 @@ func (r MinWeight) Path(g *Graph, src, dst *Node) ([]*Node, error) {
 	return dijkstra(g, src, dst, r.Weight, nil)
 }
 
+// dijkstra is the router's shortest-path search over dense node
+// indices. The extract-min is a linear scan in insertion order with a
+// strict "<", so among equal distances the earliest-added node wins:
+// topologies here have tens of nodes, and the order makes ties
+// deterministic.
 func dijkstra(g *Graph, src, dst *Node, w WeightFunc, allow EdgeFilter) ([]*Node, error) {
 	const unreached = math.MaxFloat64
-	dist := make(map[string]float64, len(g.nodes))
-	prev := make(map[string]string, len(g.nodes))
-	visited := make(map[string]bool, len(g.nodes))
-	for name := range g.nodes {
-		dist[name] = unreached
+	si, ok := g.index[src.Name]
+	di, ok2 := g.index[dst.Name]
+	if !ok || !ok2 {
+		return nil, fmt.Errorf("topology: no route %s -> %s", src.Name, dst.Name)
 	}
-	dist[src.Name] = 0
+	type state struct {
+		dist    float64
+		prev    int
+		visited bool
+	}
+	st := make([]state, len(g.nodes))
+	for i := range st {
+		st[i] = state{dist: unreached, prev: -1}
+	}
+	st[si].dist = 0
 	for {
-		// Linear extract-min over insertion order: topologies here have
-		// tens of nodes, and insertion order makes ties deterministic.
-		cur := ""
+		cur := -1
 		best := unreached
-		for _, name := range g.order {
-			if !visited[name] && dist[name] < best {
-				best = dist[name]
-				cur = name
+		for i := range st {
+			if !st[i].visited && st[i].dist < best {
+				best = st[i].dist
+				cur = i
 			}
 		}
-		if cur == "" {
+		if cur < 0 {
 			return nil, fmt.Errorf("topology: no route %s -> %s", src.Name, dst.Name)
 		}
-		if cur == dst.Name {
+		if cur == di {
 			break
 		}
-		visited[cur] = true
+		st[cur].visited = true
 		for _, e := range g.out[cur] {
 			if e.down {
 				continue
@@ -557,23 +574,20 @@ func dijkstra(g *Graph, src, dst *Node, w WeightFunc, allow EdgeFilter) ([]*Node
 			if ew < 0 {
 				return nil, fmt.Errorf("topology: negative weight on %s->%s", e.From.Name, e.To.Name)
 			}
-			if nd := dist[cur] + ew; nd < dist[e.To.Name] {
-				dist[e.To.Name] = nd
-				prev[e.To.Name] = cur
+			if nd := st[cur].dist + ew; nd < st[e.to].dist {
+				st[e.to].dist = nd
+				st[e.to].prev = cur
 			}
 		}
 	}
-	var rev []string
-	for at := dst.Name; at != src.Name; at = prev[at] {
-		rev = append(rev, at)
-		if _, ok := prev[at]; !ok && at != src.Name {
-			return nil, fmt.Errorf("topology: no route %s -> %s", src.Name, dst.Name)
-		}
+	hops := 1
+	for at := di; at != si; at = st[at].prev {
+		hops++
 	}
-	out := make([]*Node, 0, len(rev)+1)
-	out = append(out, src)
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, g.nodes[rev[i]])
+	out := make([]*Node, hops)
+	out[0] = src
+	for at, i := di, hops-1; i > 0; at, i = st[at].prev, i-1 {
+		out[i] = g.nodes[at]
 	}
 	return out, nil
 }

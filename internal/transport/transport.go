@@ -81,6 +81,9 @@ func (n *Net) Params() tcpmodel.Params { return n.params }
 
 func addrKey(host string, port int) string { return fmt.Sprintf("%s:%d", host, port) }
 
+// flowLabel is the fluid flow label of traffic from src to dst:port.
+func flowLabel(src, dst string, port int) string { return src + "->" + addrKey(dst, port) }
+
 // Listener accepts incoming connections at a host:port.
 type Listener struct {
 	net     *Net
@@ -172,6 +175,7 @@ type Conn struct {
 	rtt      float64
 	fwdLinks []*fluid.Link
 	fwdDelay float64
+	label    string // "src->dst:port", the flow label before any scope
 
 	sendCwnd    *tcpmodel.Cwnd
 	sendBusy    bool
@@ -210,14 +214,14 @@ func (n *Net) Dial(p *simproc.Proc, srcHost, dstHost string, port int, opts Dial
 
 	client := &Conn{
 		net: n, local: srcHost, remote: dstHost, port: port, tls: opts.TLS,
-		params: params, rtt: rtt,
+		params: params, rtt: rtt, label: flowLabel(srcHost, dstHost, port),
 		fwdLinks: fwd, fwdDelay: fluid.PathDelay(fwd),
 		sendCwnd: tcpmodel.NewCwnd(params),
 		inbox:    simproc.NewQueue[inboxItem](n.runner),
 	}
 	server := &Conn{
 		net: n, local: dstHost, remote: srcHost, port: port, tls: opts.TLS,
-		params: params, rtt: rtt,
+		params: params, rtt: rtt, label: flowLabel(dstHost, srcHost, port),
 		fwdLinks: rev, fwdDelay: fluid.PathDelay(rev),
 		sendCwnd: tcpmodel.NewCwnd(params),
 		inbox:    simproc.NewQueue[inboxItem](n.runner),
@@ -282,7 +286,7 @@ func (c *Conn) Send(p *simproc.Proc, payload any, size float64) error {
 	// process carries a flow scope — the handle a multipath driver uses
 	// to abort one transfer's flows and never another's, even between
 	// the same endpoint pair.
-	label := fmt.Sprintf("%s->%s:%d", c.local, c.remote, c.port)
+	label := c.label
 	if sc := p.Scope(); sc != "" {
 		label = sc + "|" + label
 	}

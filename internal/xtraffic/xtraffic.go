@@ -6,6 +6,18 @@
 // noisy one in Table IV: run-to-run variance, overlapping ±1σ error
 // bars, and the file-size-dependent exceptions in Figs 8–9 all come from
 // the foreground transfer sampling this process at different times.
+//
+// Processes are lazy. A process keeps an engine event only while its
+// link carries a flow; on an idle link it draws the next interval as
+// usual and parks with that due time. As the link's fluid.LoadSource it
+// is caught up — every re-sample due at or before now applied in order,
+// with the same rng draws and due+interval arithmetic an always-scheduled
+// process would use — before anything reads or writes the link's load,
+// and woken into a real event when a flow starts on the link. Stop
+// catches up first, so Controller.Restart continues the same rng stream.
+// An idle world therefore costs no events, and every load value a flow
+// or a reader sees is bit-identical to eager re-sampling, up to the
+// order of events at exactly equal times (see DESIGN.md §9).
 package xtraffic
 
 import (
@@ -57,28 +69,121 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// lazy drives one process's re-samples: an engine event while its link
+// carries a flow, a parked due time while the link is idle. It is the
+// link's fluid.LoadSource, so the network catches it up before the
+// link's load is read or written and wakes it when a flow arrives.
+// Fired and caught-up re-samples run the same resample function and
+// the same due+interval arithmetic, so the load sequence and the rng
+// stream are those of a process that always kept its event.
+type lazy struct {
+	fl   *fluid.Network
+	link *fluid.Link
+	// resample applies one re-sample (drawing from the process's rng
+	// and writing the link's load) and draws the interval to the next.
+	resample func() simclock.Duration
+	due      simclock.Time   // when the next re-sample is due
+	next     *simclock.Event // pending re-sample while the link is busy
+	parked   bool            // idle link: due is applied lazily
+	stopped  bool
+}
+
+// start sets the first due time d from now and arms the process.
+func (z *lazy) start(d simclock.Duration) {
+	z.due = z.fl.Engine().Now() + simclock.Time(d)
+	z.link.SetLoadSource(z)
+	z.arm()
+}
+
+// arm keeps an engine event for the next re-sample only while the link
+// carries a flow, and parks the process otherwise.
+func (z *lazy) arm() {
+	if z.link.NumFlows() > 0 {
+		z.schedule()
+	} else {
+		z.parked = true
+	}
+}
+
+func (z *lazy) schedule() {
+	z.parked = false
+	z.next = z.fl.Engine().Schedule(z.due, z.fire)
+}
+
+// advance applies the re-sample that is due and moves due one interval
+// on.
+func (z *lazy) advance() {
+	z.due += simclock.Time(z.resample())
+}
+
+// fire is the engine event: re-sample, then re-arm.
+func (z *lazy) fire() {
+	z.next = nil
+	z.advance()
+	z.arm()
+}
+
+// CatchUp implements fluid.LoadSource: it applies every parked
+// re-sample due at or before now, in order. The process is unparked
+// while a re-sample runs, so the CatchUp nested in its SetLinkLoad
+// returns at once.
+func (z *lazy) CatchUp() {
+	now := z.fl.Engine().Now()
+	for z.parked && z.due <= now {
+		z.parked = false
+		z.advance()
+		z.parked = true
+	}
+}
+
+// Wake implements fluid.LoadSource: the link is about to carry a flow,
+// so catch up and schedule the next re-sample as a real event.
+func (z *lazy) Wake() {
+	if !z.parked {
+		return
+	}
+	z.CatchUp()
+	z.schedule()
+}
+
+// stop catches up (so the rng stream stands where an always-scheduled
+// process's would), cancels any pending event and releases the link.
+func (z *lazy) stop() {
+	if z.stopped {
+		return
+	}
+	z.CatchUp()
+	z.stopped = true
+	z.parked = false
+	if z.next != nil {
+		z.fl.Engine().Cancel(z.next)
+		z.next = nil
+	}
+	z.link.SetLoadSource(nil)
+	z.fl.SetLinkLoad(z.link, 0)
+}
+
 // Process is one link's running load generator.
 type Process struct {
-	fl      *fluid.Network
-	link    *fluid.Link
-	cfg     Config
-	rng     *rand.Rand
-	load    float64
-	stopped bool
-	next    *simclock.Event
+	lz   lazy
+	cfg  Config
+	rng  *rand.Rand
+	load float64
 }
 
 // Attach starts a load process on link, seeding the link's load
 // immediately and re-sampling every Interval until Stop. The rng is
-// owned by the process afterwards; give each process its own.
+// owned by the process afterwards; give each process its own, because
+// an idle link's re-samples draw from it only when they are caught up.
 func Attach(fl *fluid.Network, link *fluid.Link, cfg Config, rng *rand.Rand) *Process {
 	if fl == nil || link == nil || rng == nil {
 		panic("xtraffic: nil argument")
 	}
-	p := &Process{fl: fl, link: link, cfg: cfg.withDefaults(), rng: rng}
+	p := &Process{lz: lazy{fl: fl, link: link}, cfg: cfg.withDefaults(), rng: rng}
+	p.lz.resample = p.step
 	p.load = p.sampleStationary()
 	fl.SetLinkLoad(link, p.load)
-	p.schedule()
+	p.lz.start(p.interval())
 	return p
 }
 
@@ -97,39 +202,29 @@ func clampLoad(x float64) float64 {
 	return math.Max(0, math.Min(0.95, x))
 }
 
-func (p *Process) schedule() {
-	eng := p.fl.Engine()
-	// Slightly jitter the interval so many processes never re-sample in
-	// lockstep, which would create artificial global synchronization.
-	d := p.cfg.Interval * (0.9 + 0.2*p.rng.Float64())
-	p.next = eng.After(d, p.step)
+// interval draws the spacing to the next re-sample, slightly jittered
+// so many processes never re-sample in lockstep, which would create
+// artificial global synchronization.
+func (p *Process) interval() simclock.Duration {
+	return p.cfg.Interval * (0.9 + 0.2*p.rng.Float64())
 }
 
-func (p *Process) step() {
-	if p.stopped {
-		return
-	}
+// step is one AR(1) re-sample.
+func (p *Process) step() simclock.Duration {
 	c := p.cfg
 	p.load = clampLoad(c.MeanLoad + c.Alpha*(p.load-c.MeanLoad) + p.noise())
-	p.fl.SetLinkLoad(p.link, p.load)
-	p.schedule()
+	p.lz.fl.SetLinkLoad(p.lz.link, p.load)
+	return p.interval()
 }
 
 // Load returns the process's current load fraction.
-func (p *Process) Load() float64 { return p.load }
+func (p *Process) Load() float64 {
+	p.lz.CatchUp()
+	return p.load
+}
 
 // Stop halts the process and releases the link back to zero load.
-func (p *Process) Stop() {
-	if p.stopped {
-		return
-	}
-	p.stopped = true
-	if p.next != nil {
-		p.fl.Engine().Cancel(p.next)
-		p.next = nil
-	}
-	p.fl.SetLinkLoad(p.link, 0)
-}
+func (p *Process) Stop() { p.lz.stop() }
 
 // OnOffConfig shapes a two-state Markov-modulated load process: the link
 // alternates between a quiet state and a congestion episode, with
@@ -146,17 +241,15 @@ type OnOffConfig struct {
 
 // OnOffProcess is a running two-state load generator.
 type OnOffProcess struct {
-	fl      *fluid.Network
-	link    *fluid.Link
-	cfg     OnOffConfig
-	rng     *rand.Rand
-	bad     bool
-	stopped bool
-	next    *simclock.Event
+	lz  lazy
+	cfg OnOffConfig
+	rng *rand.Rand
+	bad bool
 }
 
 // AttachOnOff starts a two-state process on link. The initial state is
-// drawn from the stationary distribution.
+// drawn from the stationary distribution. As with Attach, give each
+// process its own rng.
 func AttachOnOff(fl *fluid.Network, link *fluid.Link, cfg OnOffConfig, rng *rand.Rand) *OnOffProcess {
 	if fl == nil || link == nil || rng == nil {
 		panic("xtraffic: nil argument")
@@ -164,11 +257,12 @@ func AttachOnOff(fl *fluid.Network, link *fluid.Link, cfg OnOffConfig, rng *rand
 	if cfg.MeanGood <= 0 || cfg.MeanBad <= 0 {
 		panic("xtraffic: OnOff holding times must be positive")
 	}
-	p := &OnOffProcess{fl: fl, link: link, cfg: cfg, rng: rng}
+	p := &OnOffProcess{lz: lazy{fl: fl, link: link}, cfg: cfg, rng: rng}
+	p.lz.resample = p.step
 	pBad := cfg.MeanBad / (cfg.MeanGood + cfg.MeanBad)
 	p.bad = rng.Float64() < pBad
 	p.apply()
-	p.schedule()
+	p.lz.start(p.holding())
 	return p
 }
 
@@ -177,41 +271,33 @@ func (p *OnOffProcess) apply() {
 	if p.bad {
 		load = p.cfg.BadLoad
 	}
-	p.fl.SetLinkLoad(p.link, clampLoad(load))
+	p.lz.fl.SetLinkLoad(p.lz.link, clampLoad(load))
 }
 
-func (p *OnOffProcess) schedule() {
+// holding draws how long the current state lasts.
+func (p *OnOffProcess) holding() simclock.Duration {
 	mean := p.cfg.MeanGood
 	if p.bad {
 		mean = p.cfg.MeanBad
 	}
-	p.next = p.fl.Engine().After(p.rng.ExpFloat64()*mean, p.step)
+	return p.rng.ExpFloat64() * mean
 }
 
-func (p *OnOffProcess) step() {
-	if p.stopped {
-		return
-	}
+// step flips the state.
+func (p *OnOffProcess) step() simclock.Duration {
 	p.bad = !p.bad
 	p.apply()
-	p.schedule()
+	return p.holding()
 }
 
 // Bad reports whether the link is currently in a congestion episode.
-func (p *OnOffProcess) Bad() bool { return p.bad }
+func (p *OnOffProcess) Bad() bool {
+	p.lz.CatchUp()
+	return p.bad
+}
 
 // Stop halts the process and releases the link.
-func (p *OnOffProcess) Stop() {
-	if p.stopped {
-		return
-	}
-	p.stopped = true
-	if p.next != nil {
-		p.fl.Engine().Cancel(p.next)
-		p.next = nil
-	}
-	p.fl.SetLinkLoad(p.link, 0)
-}
+func (p *OnOffProcess) Stop() { p.lz.stop() }
 
 // Controller manages the cross-traffic processes of one experiment run
 // so they can be torn down together when the foreground transfer ends
