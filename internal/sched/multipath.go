@@ -33,19 +33,21 @@ type MultipathExecutor interface {
 	ExecuteMultipath(job Job, routes []core.Route, chunk float64) (multipath.Report, error)
 }
 
-// runMultipath runs one striped attempt. done=false means the caller
-// should fall back to the single-path flow: brownout is shedding
-// optional work, the executor can't stripe, no second lane exists, or
-// the striped attempt itself failed (the job's data is intact — parts
-// are separate objects — so a plain retry is safe).
-func (s *Scheduler) runMultipath(j Job, key CacheKey, route core.Route, hit bool) (Result, bool) {
+// runMultipath runs one striped attempt of the job run records, on
+// success completing the record. false means the caller should fall
+// back to the single-path flow: brownout is shedding optional work, the
+// executor can't stripe, no second lane exists, or the striped attempt
+// itself failed (the job's data is intact — parts are separate objects
+// — so a plain retry is safe).
+func (s *Scheduler) runMultipath(run *Result, key CacheKey) bool {
 	mx, ok := s.cfg.Executor.(MultipathExecutor)
 	if !ok || s.brownoutActive() {
-		return Result{}, false
+		return false
 	}
+	j, route := run.Job, run.Route
 	routes := s.multipathRoutes(key, j, route)
 	if len(routes) < 2 {
-		return Result{}, false
+		return false
 	}
 	// One capacity slot per lane, all taken in a single atomic,
 	// non-blocking step: a per-lane blocking loop would hold earlier
@@ -63,33 +65,27 @@ func (s *Scheduler) runMultipath(j Job, key CacheKey, route core.Route, hit bool
 		for _, i := range idx {
 			s.caps.release(j.Provider, routes[i].Via)
 		}
-		return Result{}, false
+		return false
 	}
 	lanes := make([]core.Route, len(idx))
 	for n, i := range idx {
 		lanes[n] = routes[i]
 	}
-	rep, err := mx.ExecuteMultipath(j, lanes, s.cfg.MultipathChunk)
+	// Chunk 0 stripes at the multipath package's default unit.
+	rep, err := mx.ExecuteMultipath(j, lanes, 0)
 	for _, r := range lanes {
 		s.caps.release(j.Provider, r.Via)
 	}
 	if err != nil {
 		s.breakers.failure(breakerKey(j.Provider, route))
-		return Result{}, false
+		return false
 	}
-	var resumed, rewritten float64
+	run.Seconds, run.Attempts, run.Multipath = rep.Seconds, 1, &rep
 	for _, pr := range rep.Paths {
-		resumed += pr.Resumed
-		rewritten += pr.Rewritten
+		run.Resumed += pr.Resumed
+		run.Rewritten += pr.Rewritten
 	}
-	s.mu.Lock()
-	s.mpJobs++
-	s.mpHedged += int64(rep.HedgedChunks)
-	s.mpResent += int64(rep.ResentChunks)
-	s.mpDuplicateBytes += rep.DuplicateBytes
-	s.bytesResumed += resumed
-	s.bytesRewritten += rewritten
-	s.mu.Unlock()
+	s.note(run, decision{kind: kindStriped})
 	s.breakers.success(providerKey(j.Provider))
 	if s.cfg.Journal != nil {
 		// Journal the lane outcome: which routes carried how many stripe
@@ -117,11 +113,7 @@ func (s *Scheduler) runMultipath(j Job, key CacheKey, route core.Route, hit bool
 			s.cache.Observe(key, lanes[pr.ID], pr.Bytes, pr.Seconds)
 		}
 	}
-	return Result{
-		Job: j, Route: route, Seconds: rep.Seconds, Attempts: 1,
-		CacheHit: hit, Resumed: resumed, Rewritten: rewritten,
-		Multipath: &rep,
-	}, true
+	return true
 }
 
 // multipathRoutes assembles the job's lane set: direct first (it is

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -287,17 +286,8 @@ type Config struct {
 	TenantBurst float64
 
 	// CacheTTL is the route-cache entry lifetime in scheduler-clock
-	// seconds (default 300). QuarantineTTL is how long a failed detour
-	// stays benched (default CacheTTL).
-	CacheTTL      float64
-	QuarantineTTL float64
-
-	// BreakerThreshold is how many consecutive route-level failures open
-	// a route's circuit breaker (default 3). BreakerCooldown is how many
-	// scheduler-clock seconds an open breaker rejects traffic before
-	// admitting a half-open probe (default 30).
-	BreakerThreshold int
-	BreakerCooldown  float64
+	// seconds (default 300); a failed detour stays benched as long.
+	CacheTTL float64
 
 	// DisableRecovery turns off checkpointed resume even when the
 	// Executor supports it: every attempt restarts from byte zero. For
@@ -314,10 +304,9 @@ type Config struct {
 	ParkBudget float64
 
 	// MultipathMaxPaths caps how many routes a JobMultipath job stripes
-	// across — direct plus detours (default 3). MultipathChunk is the
-	// stripe unit in bytes (default core.DefaultResumeChunk).
+	// across — direct plus detours (default 3). The stripe unit is the
+	// multipath package's default (core.DefaultResumeChunk).
 	MultipathMaxPaths int
-	MultipathChunk    float64
 
 	// --- Overload control (all off by default) ---
 
@@ -330,30 +319,26 @@ type Config struct {
 	// ErrQueueFull). 0 = unbounded.
 	TenantQueueLimit int
 	// FairQueue switches draining within each priority level from
-	// strict FIFO/deadline order to weighted deficit-round-robin across
-	// tenants, so a bursty tenant cannot starve its peers.
+	// strict FIFO/deadline order to deficit-round-robin across tenants,
+	// each with an equal share, so a bursty tenant cannot starve its
+	// peers.
 	FairQueue bool
-	// TenantWeights are DRR weights (default 1 per tenant);
 	// DRRQuantumBytes is the per-visit deficit refill (default 32 MB).
-	TenantWeights   map[string]float64
 	DRRQuantumBytes float64
 	// CoDelTarget enables CoDel-style shedding: when the EWMA of
-	// time-in-queue exceeds this many seconds, jobs whose own delay also
-	// exceeds it are dropped at dequeue with a *ShedError (retry-after).
-	// 0 disables shedding. CoDelAlpha is the EWMA smoothing factor
-	// (default 0.3).
+	// time-in-queue (smoothing factor coDelAlpha) exceeds this many
+	// seconds, jobs whose own delay also exceeds it are dropped at
+	// dequeue with a *ShedError (retry-after). 0 disables shedding.
 	CoDelTarget float64
-	CoDelAlpha  float64
 	// Hedge enables hedged transfers when the Executor implements
-	// HedgedExecutor: a detour attempt that outlives its learned
-	// percentile budget races a direct-route hedge, loser cancelled.
+	// HedgedExecutor: a detour attempt that outlives its budget — the
+	// route's learned hedgePercentile latency — races a direct-route
+	// hedge, loser cancelled.
 	Hedge bool
-	// HedgePercentile is the per-route latency percentile that prices
-	// the budget (default 0.95); HedgeMinSamples is how many completed
-	// transfers a route needs before hedging trusts its distribution
-	// (default 8); HedgeMaxFrac caps launched hedges as a fraction of
-	// submitted jobs so hedging cannot amplify overload (default 0.1).
-	HedgePercentile float64
+	// HedgeMinSamples is how many completed transfers a route needs
+	// before hedging trusts its distribution (default 8); HedgeMaxFrac
+	// caps launched hedges as a fraction of submitted jobs so hedging
+	// cannot amplify overload (default 0.1).
 	HedgeMinSamples int
 	HedgeMaxFrac    float64
 	// BrownoutEnter, as a fraction of QueueLimit occupancy, turns on
@@ -361,22 +346,17 @@ type Config struct {
 	// cache refresh, detour planning for small size-buckets, hedging —
 	// is shed first. BrownoutExit (default Enter/2) restores it
 	// hysteretically. 0 disables brownout; requires QueueLimit > 0.
+	// During brownout, jobs in size buckets ≤ brownoutSmallBucket skip
+	// detour planning entirely and go direct.
 	BrownoutEnter float64
 	BrownoutExit  float64
-	// BrownoutSmallBucket: during brownout, jobs in size buckets ≤ this
-	// skip detour planning entirely and go direct (default 1 ≈ files
-	// under ~4 MB, where detour gains are smallest; -1 = none).
-	BrownoutSmallBucket int
 
 	// Capacity, when set, arms spill-aware placement: detour routes
-	// through DTNs whose staging headroom sits below CapacityFloor are
+	// through DTNs whose staging headroom sits below capacityFloor are
 	// down-weighted in route election (not excluded — a nearly-full
 	// DTN still serves small jobs), composing multiplicatively with
 	// the health layer's probation weights. nil turns it off.
 	Capacity CapacityOracle
-	// CapacityFloor is the headroom (bytes) below which a DTN is
-	// considered under storage pressure (default 64 MB).
-	CapacityFloor float64
 
 	// Health, when set, arms the gray-failure layer: stall watchdogs on
 	// supporting executors (aborted transfers surface core.ErrStall and
@@ -399,11 +379,9 @@ type Config struct {
 	// off.
 	Journal *ControlJournal
 
-	// Backoff shapes the retry delays.
+	// Backoff shapes the retry delays. Its jitter and the cache's
+	// bandit draw from fixed-seed sources, so runs are reproducible.
 	Backoff Backoff
-	// Rand seeds backoff jitter and the cache's bandit (default a
-	// fixed-seed source, so runs are reproducible).
-	Rand *rand.Rand
 	// Now is the scheduler clock in seconds (default: monotonic wall
 	// time since New). Tests inject fake clocks here.
 	Now func() float64
@@ -411,14 +389,14 @@ type Config struct {
 	// inject no-ops or recorders here.
 	Sleep func(seconds float64)
 	// OnResult, when set, receives every terminal Result. It is called
-	// from worker goroutines, outside scheduler locks.
+	// from worker goroutines, outside scheduler locks, before the job
+	// counts as finished: Drain returns only after every call returned.
 	OnResult func(Result)
 
 	// Telemetry, when set, is the metrics registry the scheduler reports
 	// into: job outcomes, queue occupancy, retry/reroute/park/spill
 	// counters, queue-delay and transfer-time histograms, and per-route
-	// byte totals. nil disables metric export at a single branch per
-	// observation site.
+	// byte totals. nil disables metric export.
 	Telemetry *telemetry.Registry
 	// Recorder, when set, keeps a per-job flight-recorder trace of every
 	// control-plane decision (election, attempts, failure classes,
@@ -446,12 +424,6 @@ func (c Config) withDefaults() Config {
 	if c.DetourFailLimit <= 0 {
 		c.DetourFailLimit = 2
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30
-	}
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = c.TenantRate
 		if c.TenantBurst < 1 {
@@ -461,23 +433,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = 300
 	}
-	if c.QuarantineTTL <= 0 {
-		c.QuarantineTTL = c.CacheTTL
-	}
-	if c.CoDelAlpha <= 0 || c.CoDelAlpha > 1 {
-		c.CoDelAlpha = 0.3
-	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile > 1 {
-		c.HedgePercentile = 0.95
-	}
 	if c.HedgeMinSamples <= 0 {
 		c.HedgeMinSamples = 8
 	}
 	if c.HedgeMaxFrac <= 0 || c.HedgeMaxFrac > 1 {
 		c.HedgeMaxFrac = 0.1
-	}
-	if c.BrownoutSmallBucket == 0 {
-		c.BrownoutSmallBucket = 1
 	}
 	if c.ParkBudget <= 0 {
 		c.ParkBudget = 90
@@ -485,13 +445,7 @@ func (c Config) withDefaults() Config {
 	if c.MultipathMaxPaths <= 0 {
 		c.MultipathMaxPaths = 3
 	}
-	if c.CapacityFloor <= 0 {
-		c.CapacityFloor = 64e6
-	}
 	c.Backoff = c.Backoff.withDefaults()
-	if c.Rand == nil {
-		c.Rand = rand.New(rand.NewSource(1))
-	}
 	if c.Now == nil {
 		start := time.Now()
 		c.Now = func() float64 { return time.Since(start).Seconds() }
@@ -501,6 +455,28 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// Fixed tunings of the control plane.
+const (
+	// breakerThreshold consecutive route-level failures open a route's
+	// circuit breaker; an open breaker rejects traffic for
+	// breakerCooldown scheduler-clock seconds before admitting a
+	// half-open probe.
+	breakerThreshold = 3
+	breakerCooldown  = 30
+	// coDelAlpha is the smoothing factor of CoDel's queue-delay EWMA.
+	coDelAlpha = 0.3
+	// hedgePercentile is the per-route latency percentile that prices a
+	// hedge budget.
+	hedgePercentile = 0.95
+	// brownoutSmallBucket is the largest size bucket sent direct without
+	// planning during brownout (≈ files under ~4 MB, where detour gains
+	// are smallest).
+	brownoutSmallBucket = 1
+	// capacityFloor is the staging headroom (bytes) below which a DTN
+	// is under storage pressure.
+	capacityFloor = 64e6
+)
 
 // planCall coalesces concurrent cache misses on one key so a probe is
 // paid once per key, not once per in-flight job.
@@ -530,40 +506,20 @@ type Scheduler struct {
 	// crashKilled mirrors the journal's kill switch under s.mu so Drain
 	// can wake on it.
 	crashKilled bool
-	// Counters (all guarded by mu).
-	submitted, rateLimited int64
-	queueFullRej, quotaRej int64
-	pending, running       int64
-	done, failed, expired  int64
-	shed, late             int64
-	retries, fallbacks     int64
-	failovers, breakerSkip int64
-	hedges, hedgeWins      int64
-	brownDirect, staleHits int64
-	integrityRetries       int64
-	reroutes, parks        int64
-	parkSeconds            float64
-	mpJobs, mpDegraded     int64
-	mpHedged, mpResent     int64
-	mpDuplicateBytes       float64
-	routeEvents            int64
-	stalls, stallRerouted  int64
-	canaries, budgetParks  int64
-	quotaFails, quotaParks int64
-	quotaReclaims          int64
-	providerSpills         int64
-	bytesResumed           float64
-	bytesRewritten         float64
-	chunkRepairs           int64
-	cacheHits, cacheMiss   int64
-	perRoute               map[string]*RouteStats
-	brown                  *brownout // nil when brownout is off
-	lat                    *latencyTracker
-	delays                 *delayRing
-	jitterRng              *rand.Rand
+	// count tallies decisions by kind, with the sums that ride along;
+	// only note writes them. All guarded by mu, like the rest.
+	count                        [numKinds]int64
+	parkSeconds, stripeDupBytes  float64
+	bytesResumed, bytesRewritten float64
+	pending, running             int64
+	perRoute                     map[string]*RouteStats
+	brown                        *brownout // nil when brownout is off
+	lat                          *latencyTracker
+	delays                       *delayRing
+	jitterRng                    *rand.Rand
 
 	// met/rec are the telemetry hooks (nil when observability is off);
-	// set once in New, read without locks on hot paths.
+	// set once in New.
 	met *schedMetrics
 	rec *telemetry.FlightRecorder
 }
@@ -571,6 +527,9 @@ type Scheduler struct {
 // New builds a scheduler; call Start before submitting.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
+	// The cache's bandit and the backoff jitter draw from separate
+	// streams so their consumption patterns can't perturb each other.
+	seeds := rand.New(rand.NewSource(1))
 	s := &Scheduler{
 		cfg: cfg,
 		q: newJobQueue(queueOpts{
@@ -578,27 +537,24 @@ func New(cfg Config) *Scheduler {
 			tenantLimit: cfg.TenantQueueLimit,
 			fair:        cfg.FairQueue,
 			quantum:     cfg.DRRQuantumBytes,
-			weights:     cfg.TenantWeights,
 			now:         cfg.Now,
 		}),
-		caps:     newCapTable(cfg.ProviderCap, cfg.DTNCap),
-		buckets:  newTenantBuckets(cfg.TenantRate, cfg.TenantBurst, cfg.Now),
-		codel:    newCodel(cfg.CoDelTarget, cfg.CoDelAlpha),
-		planning: make(map[CacheKey]*planCall),
-		perRoute: make(map[string]*RouteStats),
-		lat:      newLatencyTracker(0),
-		delays:   newDelayRing(0),
-		// The cache's bandit and the backoff jitter draw from separate
-		// streams so their consumption patterns can't perturb each other.
-		jitterRng: rand.New(rand.NewSource(cfg.Rand.Int63())),
+		caps:      newCapTable(cfg.ProviderCap, cfg.DTNCap),
+		buckets:   newTenantBuckets(cfg.TenantRate, cfg.TenantBurst, cfg.Now),
+		codel:     newCodel(cfg.CoDelTarget, coDelAlpha),
+		planning:  make(map[CacheKey]*planCall),
+		perRoute:  make(map[string]*RouteStats),
+		lat:       newLatencyTracker(0),
+		delays:    newDelayRing(0),
+		jitterRng: rand.New(rand.NewSource(seeds.Int63())),
+		met:       newSchedMetrics(cfg.Telemetry),
+		rec:       cfg.Recorder,
 	}
-	s.met = newSchedMetrics(cfg.Telemetry)
-	s.rec = cfg.Recorder
 	if cfg.QueueLimit > 0 {
 		s.brown = newBrownout(cfg.BrownoutEnter, cfg.BrownoutExit)
 	}
-	s.cache = NewRouteCache(cfg.CacheTTL, cfg.QuarantineTTL, cfg.Now, rand.New(rand.NewSource(cfg.Rand.Int63())))
-	s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now)
+	s.cache = NewRouteCache(cfg.CacheTTL, cfg.CacheTTL, cfg.Now, rand.New(rand.NewSource(seeds.Int63())))
+	s.breakers = newBreakerSet(breakerThreshold, breakerCooldown, cfg.Now)
 	if cfg.Health != nil {
 		if ha, ok := cfg.Executor.(HealthAware); ok {
 			ha.SetHealth(cfg.Health)
@@ -657,9 +613,9 @@ func (s *Scheduler) capacityWeight(r core.Route) float64 {
 	}
 	h := o.DTNHeadroom(r.Via)
 	switch {
-	case h <= s.cfg.CapacityFloor:
+	case h <= capacityFloor:
 		return capWeightCritical
-	case h <= 2*s.cfg.CapacityFloor:
+	case h <= 2*capacityFloor:
 		return capWeightLow
 	}
 	return 1
@@ -687,9 +643,7 @@ func (s *Scheduler) Health() *health.Tracker { return s.cfg.Health }
 // An announce clears both Converging and Quarantined holds, so a
 // restored link returns to service at once. Safe for concurrent use.
 func (s *Scheduler) RouteEvent(ev RouteEvent) {
-	s.mu.Lock()
-	s.routeEvents++
-	s.mu.Unlock()
+	s.note(nil, decision{kind: kindRouteEvent})
 	s.cache.ApplyRouteEvent(ev)
 }
 
@@ -723,20 +677,18 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 	}
 	allowed := s.buckets.allow(j.Tenant)
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed := s.closed
+	if !closed && allowed {
+		s.pending++
+	}
+	s.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
 	if !allowed {
-		s.rateLimited++
-		s.mu.Unlock()
-		if s.met != nil {
-			s.met.rejected.With("rate-limited").Inc()
-		}
+		s.note(nil, decision{kind: kindRateLimited})
 		return ErrRateLimited
 	}
-	s.pending++
-	s.mu.Unlock()
 
 	// The push may sweep dead jobs out of a full queue to make room;
 	// those expirations are terminal results we must deliver.
@@ -747,29 +699,16 @@ func (s *Scheduler) submit(j Job, wait bool) error {
 	} else {
 		expired, err = s.q.push(j, s.cfg.Now())
 	}
-	s.mu.Lock()
-	if err != nil {
-		s.pending--
-		switch {
-		case errors.Is(err, ErrTenantQuota):
-			s.quotaRej++
-			if s.met != nil {
-				s.met.rejected.With("tenant-quota").Inc()
-			}
-		case errors.Is(err, ErrQueueFull):
-			s.queueFullRej++
-			if s.met != nil {
-				s.met.rejected.With("queue-full").Inc()
-			}
-		}
-	} else {
-		s.submitted++
-		if s.met != nil {
-			s.met.submitted.Inc()
-		}
+	admit := kindSubmitted
+	switch {
+	case errors.Is(err, ErrTenantQuota):
+		admit = kindTenantQuota
+	case errors.Is(err, ErrQueueFull):
+		admit = kindQueueFull
+	case err != nil:
+		admit = kindRefused
 	}
-	s.noteDepthLocked()
-	s.mu.Unlock()
+	s.note(nil, decision{kind: admit})
 	if err == nil && s.cfg.Journal != nil {
 		// Write-ahead: the job is durable before any worker touches it. A
 		// resubmission of a journaled name reuses its sequence number (and
@@ -872,11 +811,7 @@ func (s *Scheduler) worker() {
 				continue
 			}
 		}
-		s.mu.Lock()
-		s.running++
-		s.delays.note(delay)
-		s.noteDepthLocked()
-		s.mu.Unlock()
+		s.note(nil, decision{kind: kindStart, seconds: delay})
 		s.noteQueueDepth()
 		res := s.runJob(it.job)
 		res.QueueDelay = delay
@@ -905,120 +840,66 @@ func (s *Scheduler) finish(res Result) {
 		// idempotent attempt ID and the provider pre-check.
 		s.cfg.Journal.NoteFinish(&res)
 	}
-	s.mu.Lock()
-	s.pending--
-	if s.running > 0 {
-		s.running--
-	}
-	m := s.met
-	if m != nil {
-		m.queueDelay.Observe(res.QueueDelay)
-		m.attempts.Observe(float64(res.Attempts))
-	}
+	outcome := kindFailed
 	switch {
 	case res.Err == nil:
-		s.done++
-		if res.Late {
-			s.late++
-		}
-		rs := s.perRoute[res.Route.String()]
-		if rs == nil {
-			rs = &RouteStats{}
-			s.perRoute[res.Route.String()] = rs
-		}
-		rs.Jobs++
-		rs.Bytes += res.Job.Size
-		rs.Seconds += res.Seconds
-		s.lat.note(res.Route.String(), res.Seconds, res.Job.Size)
-		if m != nil {
-			m.done.Inc()
-			if res.Late {
-				m.late.Inc()
-			}
-			m.transferSec.Observe(res.Seconds)
-			bm, jm := m.routeMetrics(res.Route)
-			bm.Add(res.Job.Size)
-			jm.Inc()
-		}
+		outcome = kindDone
 	case errors.Is(res.Err, ErrShed):
-		s.shed++
-		if m != nil {
-			m.shed.Inc()
-		}
+		outcome = kindShed
 	case errors.Is(res.Err, ErrDeadline):
-		s.expired++
-		if m != nil {
-			m.expired.Inc()
-		}
-	default:
-		s.failed++
-		if m != nil {
-			m.failed.Inc()
-		}
+		outcome = kindExpired
 	}
-	s.noteDepthLocked()
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.recordTerminal(res)
 	if s.cfg.OnResult != nil {
+		// Deliver before the terminal note counts the job: once it does,
+		// Drain may return, and its caller must find this result.
 		s.cfg.OnResult(res)
 	}
+	s.note(&res, decision{kind: outcome})
 }
 
 // runJob is a worker's whole handling of one job: route decision
 // (breaker-gated), capped execution, class-aware retry with backoff,
-// and failover that carries the job's checkpoint across routes.
+// and failover that carries the job's checkpoint across routes. The
+// Result is the job's running record: every decision noted along the
+// way updates it, and it carries the job's flight-recorder handle (nil
+// when recording is off) to the terminal note in finish.
 func (s *Scheduler) runJob(j Job) Result {
-	// One flight-recorder handle for the job's whole life: notes against
-	// it touch only the handle, and finish hands it back for retention.
-	// Nil when recording is off.
-	tr := s.rec.Begin(j.Name)
-	res := s.runJobTraced(j, tr)
-	res.tr = tr
-	return res
+	run := Result{Job: j, tr: s.rec.Begin(j.Name)}
+	s.drive(&run)
+	return run
 }
 
-func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
+func (s *Scheduler) drive(run *Result) {
+	j := &run.Job
 	if s.crashed() {
-		return Result{Job: j, Err: ErrCrashKilled}
+		run.Err = ErrCrashKilled
+		return
 	}
 	if j.Deadline > 0 && s.cfg.Now() > j.Deadline {
-		return Result{Job: j, Err: ErrDeadline}
+		run.Err = ErrDeadline
+		return
 	}
 	key := KeyFor(j.Client, j.Provider, j.Size)
-	route, hit := s.routeFor(key, j)
-	route = s.gateRoute(key, j.Provider, route)
+	run.Route, run.CacheHit = s.routeFor(key, *j)
+	run.Route = s.gateRoute(key, j.Provider, run.Route)
 	if s.cfg.Health != nil {
-		if cr, ok := s.canaryRoute(key, route); ok {
+		if cr, ok := s.canaryRoute(key, run.Route); ok {
 			// A probation route is owed a canary: this job probes it at
 			// trickle rate so re-admission doesn't wait on the bandit
 			// happening to explore a down-weighted arm.
-			route = cr
-			s.mu.Lock()
-			s.canaries++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.canaries.Inc()
-			}
-			if tr != nil {
-				tr.Note("job.canary", "route", route.String())
-			}
+			run.Route = cr
+			s.note(run, decision{kind: kindCanary})
 		}
 	}
-	if tr != nil {
-		tr.Note("job.elect", "route", route.String(), "cache", strconv.FormatBool(hit))
-	}
+	s.note(run, decision{kind: kindElect})
 
 	if j.Mode == JobMultipath {
-		if res, done := s.runMultipath(j, key, route, hit); done {
-			return res
+		if s.runMultipath(run, key) {
+			return
 		}
 		// Degraded: brownout shed the extra lanes, the executor can't
 		// stripe, or the striped attempt failed — run single-path below.
-		s.mu.Lock()
-		s.mpDegraded++
-		s.mu.Unlock()
-		tr.Note("job.mp-degrade")
+		s.note(run, decision{kind: kindStripeDegraded})
 	}
 
 	// One checkpoint for the job's whole life: every attempt, on any
@@ -1054,19 +935,12 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// the object without journaling the finish. Ask the provider
 			// before moving a single byte.
 			if px, ok := s.cfg.Executor.(PrecheckExecutor); ok {
-				if px.Precheck(j) {
-					att := priorAttempts
-					if att < 1 {
-						att = 1
-					}
-					res := Result{Job: j, Route: core.DirectRoute, Attempts: att, CacheHit: true, Resumed: j.Size}
-					if ck != nil {
-						res.Rewritten, res.ChunkRepairs = ck.BytesRewritten, ck.ChunkRepairs
-					}
-					s.mu.Lock()
-					s.bytesResumed += j.Size
-					s.mu.Unlock()
-					return res
+				if px.Precheck(*j) {
+					run.Route, run.CacheHit = core.DirectRoute, true
+					run.Attempts = max(priorAttempts, 1)
+					settle(run, ck, nil)
+					run.Resumed = j.Size
+					return
 				}
 			}
 		}
@@ -1076,9 +950,9 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// (mid-hop1 / mid-hop2) killing here also aborts the transfer
 			// cooperatively. Executors that wrap OnProgress themselves chain
 			// through this hook.
-			prev := ck.OnProgress
+			prev, job := ck.OnProgress, *j
 			ck.OnProgress = func(b float64) {
-				cj.NoteCkpt(j, ck, b)
+				cj.NoteCkpt(job, ck, b)
 				if prev != nil {
 					prev(b)
 				}
@@ -1087,20 +961,18 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 	}
 
 	var lastErr error
-	attempts, detourFails, stallReroutes := priorAttempts, 0, 0
-	jobHedged, jobHedgeWon := false, false
-	jobReroutes, jobParked := 0, 0.0
+	detourFails, stallReroutes := 0, 0
 	// Quota-mitigation state: reclaim runs at most once per provider per
 	// job; spilledFrom remembers providers already abandoned as full so
 	// the spill chain never revisits one.
 	var reclaimTried, spilledFrom map[string]bool
+	run.Attempts = priorAttempts
 	for {
-		attempts++
-		if tr != nil {
-			tr.Note("job.attempt", "n", strconv.Itoa(attempts), "route", route.String())
-		}
-		if cj != nil && cj.NoteAttempt(j, attempts, route) {
-			return Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Err: ErrCrashKilled}
+		run.Attempts++
+		s.note(run, decision{kind: kindAttempt})
+		if cj != nil && cj.NoteAttempt(*j, run.Attempts, run.Route) {
+			run.Err = ErrCrashKilled
+			return
 		}
 		var sec float64
 		var err error
@@ -1109,47 +981,27 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// just wait out the cooldown like any other failed attempt.
 			err = ProviderDown(fmt.Errorf("breaker open for provider %s", j.Provider))
 		} else {
-			if cerr := s.caps.acquire(j.Provider, route.Via); cerr != nil {
-				res := Result{Job: j, Route: route, Attempts: attempts - 1, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: cerr}
-				s.noteRecovery(ck, &res)
-				return res
+			if cerr := s.caps.acquire(j.Provider, run.Route.Via); cerr != nil {
+				run.Attempts--
+				settle(run, ck, cerr)
+				return
 			}
 			// A winning hedge swaps route below; release what was acquired.
-			acquiredVia := route.Via
+			acquiredVia := run.Route.Via
 			if cj != nil {
 				cj.NoteCap(j.Provider, acquiredVia, true)
 			}
 			ran := false
-			if hx, canHedge := s.cfg.Executor.(HedgedExecutor); canHedge && s.cfg.Hedge && route.Kind == core.Detour && ck != nil {
-				if budget, ok := s.hedgeBudget(route, j.Size); ok {
+			if hx, canHedge := s.cfg.Executor.(HedgedExecutor); canHedge && s.cfg.Hedge && run.Route.Kind == core.Detour && ck != nil {
+				if budget, ok := s.hedgeBudget(run.Route, j.Size); ok {
 					var winner core.Route
 					var launched, won bool
-					sec, winner, launched, won, err = hx.ExecuteHedged(j, route, budget, ck)
-					if launched {
-						jobHedged = true
-						s.mu.Lock()
-						s.hedges++
-						if won {
-							s.hedgeWins++
-						}
-						s.mu.Unlock()
-						if s.met != nil {
-							s.met.hedges.Inc()
-							if won {
-								s.met.hedgeWins.Inc()
-							}
-						}
-						if tr != nil {
-							if won {
-								tr.Note("job.hedge", "won", "true", "route", winner.String())
-							} else {
-								tr.Note("job.hedge", "won", "false")
-							}
-						}
-					}
+					sec, winner, launched, won, err = hx.ExecuteHedged(*j, run.Route, budget, ck)
 					if won {
-						jobHedgeWon = true
-						route = winner
+						run.Route = winner
+					}
+					if launched {
+						s.note(run, decision{kind: kindHedge, flag: won})
 					}
 					ran = true
 				}
@@ -1159,37 +1011,16 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 					// Churn-hardened attempt: the executor survives
 					// withdraws internally (make-before-break) and may
 					// finish on a different route than it started.
-					var final core.Route
 					var nr int
 					var parked float64
-					sec, final, nr, parked, err = rrx.ExecuteRerouting(j, route, ck, s.cfg.ParkBudget)
-					jobReroutes += nr
-					jobParked += parked
+					sec, run.Route, nr, parked, err = rrx.ExecuteRerouting(*j, run.Route, ck, s.cfg.ParkBudget)
 					if nr > 0 || parked > 0 {
-						s.mu.Lock()
-						s.reroutes += int64(nr)
-						if parked > 0 {
-							s.parks++
-							s.parkSeconds += parked
-						}
-						s.mu.Unlock()
-						if s.met != nil {
-							s.met.reroutes.Add(float64(nr))
-							if parked > 0 {
-								s.met.parks.Inc()
-							}
-						}
-						if tr != nil {
-							tr.Note("job.reroute", "n", strconv.Itoa(nr),
-								"parked_s", strconv.FormatFloat(parked, 'g', -1, 64),
-								"route", final.String())
-						}
+						s.note(run, decision{kind: kindReroute, count: nr, seconds: parked})
 					}
-					route = final
 				} else if ck != nil {
-					sec, err = rex.ExecuteResumable(j, route, ck)
+					sec, err = rex.ExecuteResumable(*j, run.Route, ck)
 				} else {
-					sec, err = s.cfg.Executor.Execute(j, route)
+					sec, err = s.cfg.Executor.Execute(*j, run.Route)
 				}
 			}
 			s.caps.release(j.Provider, acquiredVia)
@@ -1201,30 +1032,24 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// A mid-transfer crash point aborted this attempt (or the kill
 			// landed elsewhere while we ran): the process is dead, whatever
 			// err says is moot.
-			return Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Err: ErrCrashKilled}
+			run.Err = ErrCrashKilled
+			return
 		}
 		if err == nil {
-			s.breakers.success(breakerKey(j.Provider, route))
+			s.breakers.success(breakerKey(j.Provider, run.Route))
 			s.breakers.success(providerKey(j.Provider))
-			s.noteHealthSuccess(j, route, sec)
+			s.noteHealthSuccess(*j, run.Route, sec)
 			if !s.brownoutActive() {
 				// Brownout sheds bandit refresh: live observations are
 				// optional work, the decision we have is good enough.
-				s.cache.Observe(key, route, j.Size, sec)
+				s.cache.Observe(key, run.Route, j.Size, sec)
 			}
-			res := Result{Job: j, Route: route, Seconds: sec, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked}
-			s.noteRecovery(ck, &res)
-			return res
+			run.Seconds = sec
+			settle(run, ck, nil)
+			return
 		}
 		lastErr = err
-		if errors.Is(err, core.ErrIntegrity) {
-			s.mu.Lock()
-			s.integrityRetries++
-			s.mu.Unlock()
-		}
-		if tr != nil {
-			tr.Note("job.fail", "class", Classify(err).String(), "err", err.Error())
-		}
+		s.note(run, decision{kind: kindFail, err: err, flag: errors.Is(err, core.ErrIntegrity)})
 
 		backoff := true
 		switch Classify(err) {
@@ -1244,33 +1069,20 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// without burning an attempt slot or sleeping — the stall itself
 			// already cost the job its time. A separate reroute cap bounds
 			// ping-ponging when every path is gray.
-			s.mu.Lock()
-			s.stalls++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.stalls.Inc()
-			}
+			s.note(run, decision{kind: kindStall})
 			if h := s.cfg.Health; h != nil {
-				h.NoteStall(health.ClassRoute, route.String())
-				if route.Kind == core.Detour {
-					h.NoteStall(health.ClassDTN, route.Via)
+				h.NoteStall(health.ClassRoute, run.Route.String())
+				if run.Route.Kind == core.Detour {
+					h.NoteStall(health.ClassDTN, run.Route.Via)
 				}
 			}
 			if stallReroutes < maxStallReroutes {
-				if next, ok := s.stallFailover(key, route); ok {
+				if next, ok := s.stallFailover(key, run.Route); ok {
 					stallReroutes++
-					attempts--
-					route = next
+					run.Attempts--
+					run.Route = next
 					backoff = false
-					s.mu.Lock()
-					s.stallRerouted++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.stallReroutes.Inc()
-					}
-					if tr != nil {
-						tr.Note("job.stall-failover", "route", next.String())
-					}
+					s.note(run, decision{kind: kindStallReroute})
 				}
 			}
 			// No alternate (or the cap is spent): fall through to the
@@ -1283,12 +1095,7 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 			// provider's hint; (2) spill to an allowed alternate provider,
 			// keeping hop-1 staging progress but starting a fresh session;
 			// (3) park with a typed *QuotaError.
-			s.mu.Lock()
-			s.quotaFails++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.quotaFails.Inc()
-			}
+			s.note(run, decision{kind: kindQuotaFail})
 			recovered := false
 			if !reclaimTried[j.Provider] {
 				if reclaimTried == nil {
@@ -1297,29 +1104,18 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				reclaimTried[j.Provider] = true
 				if qr, ok := s.cfg.Executor.(QuotaReclaimer); ok {
 					if freed := qr.ReclaimQuota(j.Provider); freed > 0 {
-						s.mu.Lock()
-						s.quotaReclaims++
-						s.mu.Unlock()
-						if s.met != nil {
-							s.met.quotaReclaims.Inc()
-						}
-						if tr != nil {
-							tr.Note("job.quota-reclaim", "provider", j.Provider,
-								"freed", strconv.FormatFloat(freed, 'g', -1, 64))
-						}
+						s.note(run, decision{kind: kindQuotaReclaim, bytes: freed})
 						recovered = true
 					}
 				}
 			}
 			if !recovered {
-				if alt, ok := nextAltProvider(j, spilledFrom); ok {
+				if alt, ok := nextAltProvider(*j, spilledFrom); ok {
 					if spilledFrom == nil {
 						spilledFrom = make(map[string]bool)
 					}
 					spilledFrom[j.Provider] = true
-					if tr != nil {
-						tr.Note("job.spill", "from", j.Provider, "to", alt)
-					}
+					s.note(run, decision{kind: kindSpill, provider: alt})
 					j.Provider = alt
 					if ck != nil {
 						// The old provider's session bytes are stranded
@@ -1328,19 +1124,13 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 						ck.DiscardSession()
 					}
 					key = KeyFor(j.Client, j.Provider, j.Size)
-					route, hit = s.routeFor(key, j)
-					route = s.gateRoute(key, j.Provider, route)
+					run.Route, run.CacheHit = s.routeFor(key, *j)
+					run.Route = s.gateRoute(key, j.Provider, run.Route)
 					// A spill is a new destination, not another try at the
 					// full one: don't burn an attempt slot or sleep.
-					attempts--
+					run.Attempts--
 					backoff = false
 					recovered = true
-					s.mu.Lock()
-					s.providerSpills++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.spills.Inc()
-					}
 				}
 			}
 			if !recovered {
@@ -1348,113 +1138,80 @@ func (s *Scheduler) runJobTraced(j Job, tr *telemetry.Trace) Result {
 				if ra <= 0 {
 					ra = defaultQuotaParkAfter
 				}
-				s.mu.Lock()
-				s.quotaParks++
-				s.mu.Unlock()
-				if s.met != nil {
-					s.met.quotaParks.Inc()
-				}
-				if tr != nil {
-					tr.Note("job.park", "kind", "quota", "provider", j.Provider,
-						"retry_after", strconv.FormatFloat(ra, 'g', -1, 64))
-				}
-				res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: &QuotaError{Provider: j.Provider, RetryAfter: ra}}
-				s.noteRecovery(ck, &res)
-				return res
+				s.note(run, decision{kind: kindQuotaPark, seconds: ra})
+				settle(run, ck, &QuotaError{Provider: j.Provider, RetryAfter: ra})
+				return
 			}
 		case FailRouteDown:
-			s.breakers.failure(breakerKey(j.Provider, route))
-			if next, ok := s.failover(key, j.Provider, route); ok {
-				route = next
+			s.breakers.failure(breakerKey(j.Provider, run.Route))
+			if next, ok := s.failover(key, j.Provider, run.Route); ok {
+				run.Route = next
 				// The new route is presumed healthy: no point sleeping.
 				backoff = false
-				if s.met != nil {
-					s.met.failovers.Inc()
-				}
-				if tr != nil {
-					tr.Note("job.failover", "route", next.String())
-				}
+				s.note(run, decision{kind: kindFailover})
 			}
 		default:
 			// Untyped error: the legacy route-level handling, so executors
 			// that don't classify see exactly the old behavior.
-			s.breakers.failure(breakerKey(j.Provider, route))
-			if route.Kind == core.Detour {
+			s.breakers.failure(breakerKey(j.Provider, run.Route))
+			if run.Route.Kind == core.Detour {
 				detourFails++
 				if detourFails >= s.cfg.DetourFailLimit {
 					// Repeated DTN failures: bench the detour for every
 					// follower of this key and fall back to direct ourselves.
-					s.cache.Invalidate(key, route)
-					route = core.DirectRoute
-					s.mu.Lock()
-					s.fallbacks++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.fallbacks.Inc()
-					}
-					tr.Note("job.fallback")
+					s.cache.Invalidate(key, run.Route)
+					run.Route = core.DirectRoute
+					s.note(run, decision{kind: kindFallback})
 				}
 			}
 		}
-		if attempts >= s.cfg.MaxAttempts {
-			res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: lastErr}
-			s.noteRecovery(ck, &res)
-			return res
+		if run.Attempts >= s.cfg.MaxAttempts {
+			settle(run, ck, lastErr)
+			return
 		}
-		if backoff {
-			// Backoff retries spend the provider's retry budget: tokens only
-			// successes earn back, so a sick provider's budget drains and the
-			// job parks instead of joining a retry storm. Failover reroutes
-			// (backoff=false) are free — they move work away from the
-			// problem rather than hammering it.
-			if h := s.cfg.Health; h != nil {
-				if ok, after := h.AllowRetry(j.Provider); !ok {
-					s.mu.Lock()
-					s.budgetParks++
-					s.mu.Unlock()
-					if s.met != nil {
-						s.met.budgetParks.Inc()
-					}
-					if tr != nil {
-						tr.Note("job.park", "kind", "budget", "provider", j.Provider,
-							"retry_after", strconv.FormatFloat(after, 'g', -1, 64))
-					}
-					res := Result{Job: j, Route: route, Attempts: attempts, CacheHit: hit, Hedged: jobHedged, HedgeWon: jobHedgeWon, Reroutes: jobReroutes, Parked: jobParked, Err: &BudgetError{Provider: j.Provider, RetryAfter: after}}
-					s.noteRecovery(ck, &res)
-					return res
-				}
-				if cj != nil {
-					// The spent token is journaled so a restart can drain the
-					// fresh tracker's budget to match (RestoreSpentRetries) —
-					// a crash must not refill a sick provider's bucket.
-					cj.NoteRetry(j.Provider)
-				}
+		if !backoff {
+			s.note(run, decision{kind: kindRetry})
+			continue
+		}
+		// Backoff retries spend the provider's retry budget: tokens only
+		// successes earn back, so a sick provider's budget drains and the
+		// job parks instead of joining a retry storm. Failover reroutes
+		// (backoff=false) are free — they move work away from the
+		// problem rather than hammering it.
+		if h := s.cfg.Health; h != nil {
+			if ok, after := h.AllowRetry(j.Provider); !ok {
+				s.note(run, decision{kind: kindBudgetPark, seconds: after})
+				settle(run, ck, &BudgetError{Provider: j.Provider, RetryAfter: after})
+				return
 			}
-			s.mu.Lock()
-			s.retries++
-			u := s.jitterRng.Float64()
-			s.mu.Unlock()
-			delay := s.cfg.Backoff.Delay(attempts, u)
-			// A provider's Retry-After on a 429 floors the delay: backing
-			// off into the same throttle window just burns an attempt.
-			if ra := retryAfterHint(lastErr); ra > delay {
-				delay = ra
-			}
-			if s.met != nil {
-				s.met.retries.Inc()
-			}
-			if tr != nil {
-				tr.Note("job.backoff", "delay_s", strconv.FormatFloat(delay, 'g', -1, 64))
-			}
-			s.cfg.Sleep(delay)
-		} else {
-			s.mu.Lock()
-			s.retries++
-			s.mu.Unlock()
-			if s.met != nil {
-				s.met.retries.Inc()
+			if cj != nil {
+				// The spent token is journaled so a restart can drain the
+				// fresh tracker's budget to match (RestoreSpentRetries) —
+				// a crash must not refill a sick provider's bucket.
+				cj.NoteRetry(j.Provider)
 			}
 		}
+		s.mu.Lock()
+		u := s.jitterRng.Float64()
+		s.mu.Unlock()
+		delay := s.cfg.Backoff.Delay(run.Attempts, u)
+		// A provider's Retry-After on a 429 floors the delay: backing
+		// off into the same throttle window just burns an attempt.
+		if ra := retryAfterHint(lastErr); ra > delay {
+			delay = ra
+		}
+		s.note(run, decision{kind: kindRetry, seconds: delay, flag: true})
+		s.cfg.Sleep(delay)
+	}
+}
+
+// settle ends a job that ran with err (nil on success), making its
+// checkpoint's accounting the job's.
+func settle(run *Result, ck *core.Checkpoint, err error) {
+	run.Err = err
+	if ck != nil {
+		run.Resumed, run.Rewritten = ck.BytesResumed, ck.BytesRewritten
+		run.ChunkRepairs = ck.ChunkRepairs
 	}
 }
 
@@ -1567,13 +1324,13 @@ func (s *Scheduler) hedgeBudget(route core.Route, size float64) (float64, bool) 
 		s.mu.Unlock()
 		return 0, false
 	}
-	submitted := s.submitted
-	hedges := s.hedges
+	submitted := s.count[kindSubmitted]
+	hedges := s.count[kindHedge]
 	if s.lat.count(route.String()) < s.cfg.HedgeMinSamples {
 		s.mu.Unlock()
 		return 0, false
 	}
-	spb, ok := s.lat.percentile(route.String(), s.cfg.HedgePercentile)
+	spb, ok := s.lat.percentile(route.String(), hedgePercentile)
 	s.mu.Unlock()
 	if !ok {
 		return 0, false
@@ -1596,9 +1353,7 @@ func (s *Scheduler) gateRoute(key CacheKey, provider string, route core.Route) c
 		return route
 	}
 	if route.Kind == core.Detour && s.breakers.allow(breakerKey(provider, core.DirectRoute)) {
-		s.mu.Lock()
-		s.breakerSkip++
-		s.mu.Unlock()
+		s.note(nil, decision{kind: kindBreakerSkip})
 		return core.DirectRoute
 	}
 	for _, cand := range s.cache.Candidates(key) {
@@ -1606,9 +1361,7 @@ func (s *Scheduler) gateRoute(key CacheKey, provider string, route core.Route) c
 			continue
 		}
 		if s.breakers.allow(breakerKey(provider, cand)) {
-			s.mu.Lock()
-			s.breakerSkip++
-			s.mu.Unlock()
+			s.note(nil, decision{kind: kindBreakerSkip})
 			return cand
 		}
 	}
@@ -1623,10 +1376,6 @@ func (s *Scheduler) gateRoute(key CacheKey, provider string, route core.Route) c
 func (s *Scheduler) failover(key CacheKey, provider string, failed core.Route) (core.Route, bool) {
 	if failed.Kind == core.Detour {
 		s.cache.Invalidate(key, failed)
-		s.mu.Lock()
-		s.failovers++
-		s.fallbacks++
-		s.mu.Unlock()
 		// Direct is the route of last resort — take it even if its
 		// breaker objects.
 		s.breakers.allow(breakerKey(provider, core.DirectRoute))
@@ -1637,28 +1386,10 @@ func (s *Scheduler) failover(key CacheKey, provider string, failed core.Route) (
 			continue
 		}
 		if s.breakers.allow(breakerKey(provider, cand)) {
-			s.mu.Lock()
-			s.failovers++
-			s.mu.Unlock()
 			return cand, true
 		}
 	}
 	return failed, false
-}
-
-// noteRecovery copies the job's checkpoint accounting into its result
-// and the scheduler-wide counters.
-func (s *Scheduler) noteRecovery(ck *core.Checkpoint, res *Result) {
-	if ck == nil {
-		return
-	}
-	res.Resumed, res.Rewritten = ck.BytesResumed, ck.BytesRewritten
-	res.ChunkRepairs = ck.ChunkRepairs
-	s.mu.Lock()
-	s.bytesResumed += ck.BytesResumed
-	s.bytesRewritten += ck.BytesRewritten
-	s.chunkRepairs += int64(ck.ChunkRepairs)
-	s.mu.Unlock()
 }
 
 // routeFor resolves the job's route: cached decision, coalesced onto an
@@ -1670,39 +1401,35 @@ func (s *Scheduler) routeFor(key CacheKey, j Job) (core.Route, bool) {
 		// files go straight to direct (their detour gain is marginal);
 		// everything else rides a stale cache entry rather than paying a
 		// re-probe. Only a key with no decision at all still plans.
-		if s.cfg.BrownoutSmallBucket >= 0 && key.SizeBucket <= s.cfg.BrownoutSmallBucket {
-			s.mu.Lock()
-			s.brownDirect++
-			s.mu.Unlock()
+		if key.SizeBucket <= brownoutSmallBucket {
+			s.note(nil, decision{kind: kindBrownoutDirect})
 			return core.DirectRoute, true
 		}
 		if r, fresh, ok := s.cache.LookupStale(key); ok {
+			served := kindStaleServe
 			if fresh {
-				s.noteCache(true)
-			} else {
-				s.mu.Lock()
-				s.staleHits++
-				s.mu.Unlock()
+				served = kindCacheHit
 			}
+			s.note(nil, decision{kind: served})
 			return r, true
 		}
 	}
 	if r, ok := s.cache.Lookup(key); ok {
-		s.noteCache(true)
+		s.note(nil, decision{kind: kindCacheHit})
 		return r, true
 	}
 	s.planMu.Lock()
 	if call, ok := s.planning[key]; ok {
 		s.planMu.Unlock()
 		<-call.done
-		s.noteCache(true)
+		s.note(nil, decision{kind: kindCacheHit})
 		return call.route, true
 	}
 	// Re-check under planMu: the planner that just finished may have
 	// inserted between our Lookup and the lock.
 	if r, ok := s.cache.Lookup(key); ok {
 		s.planMu.Unlock()
-		s.noteCache(true)
+		s.note(nil, decision{kind: kindCacheHit})
 		return r, true
 	}
 	call := &planCall{done: make(chan struct{})}
@@ -1729,18 +1456,8 @@ func (s *Scheduler) routeFor(key CacheKey, j Job) (core.Route, bool) {
 	s.planMu.Lock()
 	delete(s.planning, key)
 	s.planMu.Unlock()
-	s.noteCache(false)
+	s.note(nil, decision{kind: kindCacheMiss})
 	return route, false
-}
-
-func (s *Scheduler) noteCache(hit bool) {
-	s.mu.Lock()
-	if hit {
-		s.cacheHits++
-	} else {
-		s.cacheMiss++
-	}
-	s.mu.Unlock()
 }
 
 // RouteStats aggregates completed transfers over one route.
@@ -1889,36 +1606,21 @@ func (st Stats) String() string {
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Submitted: s.submitted, RateLimited: s.rateLimited,
-		Running: s.running,
-		Done:    s.done, Failed: s.failed, Expired: s.expired,
-		Shed: s.shed, Late: s.late,
-		QueueFullRejects: s.queueFullRej, TenantQuotaRejects: s.quotaRej,
-		Hedges: s.hedges, HedgeWins: s.hedgeWins,
-		BrownoutDirect: s.brownDirect, StaleServes: s.staleHits,
-		IntegrityRetries: s.integrityRetries,
-		Reroutes:         s.reroutes, Parks: s.parks,
-		ParkSeconds: s.parkSeconds, RouteEvents: s.routeEvents,
-		MultipathJobs: s.mpJobs, MultipathDegraded: s.mpDegraded,
-		MultipathHedged: s.mpHedged, MultipathResent: s.mpResent,
-		MultipathDuplicateBytes: s.mpDuplicateBytes,
-		Stalls:                  s.stalls, StallReroutes: s.stallRerouted,
-		Canaries: s.canaries, BudgetParks: s.budgetParks,
-		QuotaFailures: s.quotaFails, QuotaReclaims: s.quotaReclaims,
-		ProviderSpills: s.providerSpills, QuotaParks: s.quotaParks,
-		QueueDelayP99: s.delays.percentile(0.99),
-		Retries:       s.retries, Fallbacks: s.fallbacks,
-		Failovers: s.failovers, BreakerSkips: s.breakerSkip,
+		Running: s.running, Queued: s.pending - s.running,
+		ParkSeconds: s.parkSeconds, MultipathDuplicateBytes: s.stripeDupBytes,
 		BytesResumed: s.bytesResumed, BytesRewritten: s.bytesRewritten,
-		ChunkRepairs: s.chunkRepairs,
-		CacheHits:    s.cacheHits, CacheMisses: s.cacheMiss,
-		PerRoute: make(map[string]RouteStats, len(s.perRoute)),
+		QueueDelayP99: s.delays.percentile(0.99),
+		PerRoute:      make(map[string]RouteStats, len(s.perRoute)),
+	}
+	for k := range decisions {
+		if stat := decisions[k].stat; stat != nil {
+			*stat(&st) = s.count[k]
+		}
 	}
 	if s.brown != nil {
 		st.BrownoutActive = s.brown.active
 		st.BrownoutEnters, st.BrownoutExits = s.brown.enters, s.brown.exits
 	}
-	st.Queued = s.pending - s.running
 	for k, v := range s.perRoute {
 		st.PerRoute[k] = *v
 	}

@@ -627,3 +627,37 @@ func TestSchedulerStress(t *testing.T) {
 		t.Errorf("drained scheduler still shows queued=%d running=%d", st.Queued, st.Running)
 	}
 }
+
+// TestDrainWaitsForOnResult: a caller that collects results through
+// OnResult and reads them after Drain must find every job, even when
+// the consumer is slow.
+func TestDrainWaitsForOnResult(t *testing.T) {
+	var mu sync.Mutex
+	got := 0
+	exec := ExecutorFunc(func(Job, core.Route) (float64, error) { return 1, nil })
+	s := New(Config{
+		Workers: 4, Executor: exec, Planner: &staticPlanner{route: core.DirectRoute},
+		Sleep: noSleep,
+		OnResult: func(Result) {
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			got++
+			mu.Unlock()
+		},
+	})
+	const n = 20
+	for _, j := range fleetJobs(n) {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Start()
+	s.Drain()
+	mu.Lock()
+	delivered := got
+	mu.Unlock()
+	s.Close()
+	if delivered != n {
+		t.Fatalf("Drain returned with %d of %d results delivered", delivered, n)
+	}
+}
