@@ -1,7 +1,7 @@
 GO ?= go
 
 # The committed replays (sched.Replays), each run by detourd -replay.
-REPLAYS = churn multipath grayfail crashsafe pressure telemetry
+REPLAYS = churn multipath grayfail crashsafe pressure telemetry overload
 
 .PHONY: build test vet race bench perfbench check fleet chaos overload stress churn multipath grayfail crashsafe pressure telemetry
 
@@ -18,12 +18,10 @@ race:
 	$(GO) test -race ./...
 
 # Bench: every Go benchmark (scheduler drain bare vs instrumented,
-# registry hot path, transfer kernels), then the seeded detourbench
-# sweep that writes the machine-readable BENCH_10.json (storm goodput,
-# drain wall time with/without telemetry, dispatch ns/job).
+# registry hot path, transfer kernels). The end-to-end benchmark is
+# perfbench below.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
-	$(GO) run ./cmd/detourbench -experiment bench -out BENCH_10.json
 
 # Perfbench: the layered benchmark's self-test (perfbench/README.md):
 # BENCHMARK.json and the program agree, every workload passes its
@@ -32,20 +30,21 @@ bench:
 perfbench:
 	bash perfbench/run.sh --selftest --seed 3
 
+# Fleet: the 600-job multi-tenant trace through the scheduler daemon.
 fleet:
-	$(GO) run ./examples/fleet
+	$(GO) run ./cmd/detourd
 
-# Chaos: the fault-injection tests race-clean, then the fleet trace
-# replayed under the canned fault schedule.
+# Chaos: the fault-injection tests race-clean, then a 300-job fleet
+# trace drained under the canned fault schedule.
 chaos:
 	$(GO) test -race ./internal/faults/ ./internal/sched/
-	$(GO) run ./examples/chaos
+	$(GO) run ./cmd/detourd -chaos -jobs 300
 
 # Overload: the flash-crowd trace replayed with and without the
 # overload-control stack (admission control, fair queuing, shedding,
 # hedging, brownout), comparing goodput and fairness.
 overload:
-	$(GO) run ./examples/overload
+	$(GO) run ./cmd/detourd -replay overload
 
 # Churn: the routing-dynamics tests race-clean (staged convergence,
 # push invalidation, make-before-break reroute/reattach), then the BGP
@@ -103,11 +102,11 @@ stress:
 # The gate PRs must pass: every Go file is gofmt-clean, everything
 # compiles, vets clean, the full test suite (including the
 # really-concurrent scheduler) is race-clean, the delta-encoding and
-# journal-decode fuzzers hold up for a short smoke run, the chaos and
-# overload replays complete, and every committed replay (REPLAYS) is
-# byte-identical across two runs of the same seed — for telemetry that
-# covers the whole observability plane: metric dumps, time series,
-# sparklines, and flight-recorder traces. The eviction-safety suites
+# journal-decode fuzzers hold up for a short smoke run, the chaos fleet
+# drains, and every committed replay (REPLAYS) is byte-identical across
+# two runs of the same seed — for telemetry that covers the whole
+# observability plane: metric dumps, time series, sparklines, and
+# flight-recorder traces. The eviction-safety suites
 # get an explicit race pass (cheap, and kept even if the blanket ./...
 # leg above is ever narrowed).
 check:
@@ -116,8 +115,7 @@ check:
 	$(GO) test -race ./internal/rsyncx/ ./internal/sched/
 	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/rsyncx
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
-	$(GO) run ./examples/chaos >/dev/null
-	$(GO) run ./examples/overload >/dev/null
+	$(GO) run ./cmd/detourd -chaos -jobs 300 -stats 0 >/dev/null
 	for r in $(REPLAYS); do \
 		$(GO) run ./cmd/detourd -replay $$r >.replay.a.tmp && \
 		$(GO) run ./cmd/detourd -replay $$r >.replay.b.tmp && \

@@ -32,27 +32,14 @@
 // a `detourd`-style deployment (or sched.RunCrashsafe with JournalPath)
 // writes. Transfer flags are ignored in this mode.
 //
-// With -health, the tool instead replays the gray-failure schedule with
-// the health stack armed and prints the operator's view of it: the
-// per-entity health table (learned baseline rates, probation state,
-// stall counts), the probation/re-admission transition log, and the
-// per-provider retry-budget ledgers. Transfer flags are ignored in
-// this mode.
-//
 // With -capacity, the tool instead replays the storage-exhaustion
 // schedule with the mitigation stack armed and prints the operator's
 // storage view: each DTN's staging-disk accounting (capacity, used,
 // headroom, evictions, orphan sweeps), each provider's quota ledger
 // (committed, pending session bytes, sessions reclaimed), and the
 // scheduler's quota-mitigation counters. Transfer flags are ignored in
-// this mode.
-//
-// With -dash, the tool instead replays the instrumented flash crowd
-// (see internal/sched.RunTelemetry) and prints the operator's terminal
-// dashboard: headline delivery and churn counters, every sampled time
-// series as a sparkline with min/max/last, and a one-line summary of
-// each failed job's flight-recorder trace. Transfer flags are ignored
-// in this mode.
+// this mode. The health table and the telemetry dashboard are part of
+// `detourd -replay grayfail` and `detourd -replay telemetry`.
 package main
 
 import (
@@ -81,18 +68,10 @@ func main() {
 		traceOut  = flag.String("trace", "", "write the transfer trace as JSON lines to this file")
 		drain     = flag.String("drain", "", "put this DTN's agent into drain before planning")
 		mpath     = flag.Bool("multipath", false, "stripe the upload across direct + all in-service detours and show per-path progress")
-		healthTab = flag.Bool("health", false, "replay the gray-failure schedule with the health stack and print the health table")
 		capTab    = flag.Bool("capacity", false, "replay the storage-exhaustion schedule with the mitigation stack and print the staging/quota tables")
 		jdump     = flag.String("journal", "", "dump this control-journal file (records, torn tail, recovered state) and exit")
-		dash      = flag.Bool("dash", false, "replay the instrumented flash crowd and print the telemetry dashboard")
 	)
 	flag.Parse()
-
-	if *dash {
-		o := sched.RunTelemetry(sched.TelemetryOptions{Seed: *seed})
-		sched.WriteTelemetryDash(os.Stdout, o)
-		return
-	}
 
 	if *jdump != "" {
 		if err := sched.WriteJournalDump(os.Stdout, *jdump); err != nil {
@@ -100,10 +79,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	if *healthTab {
-		os.Exit(runHealthTable(*seed))
 	}
 
 	if *capTab {
@@ -195,25 +170,6 @@ func main() {
 	})
 	writeTrace(w, *traceOut, exit)
 	os.Exit(exit)
-}
-
-// runHealthTable replays the gray-failure scenario with the health
-// stack armed and renders the tracker's final state the way a real
-// deployment's `detourctl health` would read the control plane.
-func runHealthTable(seed int64) int {
-	out := sched.RunGrayfail(sched.ReplayOptions{Seed: seed, Stack: true})
-	st := out.Stats
-	fmt.Printf("health after %d transfers, %.0f virtual s: %d stalls, %d stall-reroutes, %d canaries, %d budget-parked\n",
-		len(out.Results), out.VirtualSeconds, st.Stalls, st.StallReroutes, st.Canaries, st.BudgetParks)
-	fmt.Println("entities:")
-	sched.WriteHealthTable(os.Stdout, out.Table)
-	fmt.Println("transitions:")
-	for _, tr := range out.Health {
-		fmt.Printf("  %s\n", tr)
-	}
-	fmt.Println("retry budgets:")
-	sched.WriteRetryBudgets(os.Stdout, out.Budgets)
-	return 0
 }
 
 // runCapacityTable replays the storage-exhaustion scenario with the

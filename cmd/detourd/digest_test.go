@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // fails here, not only a difference between two runs of one build.
 // When an output change is intended, regenerate the file with
 //
-//	for r in churn crashsafe grayfail multipath pressure telemetry; do
+//	for r in churn crashsafe grayfail multipath overload pressure telemetry; do
 //		go run ./cmd/detourd -replay $r | sha256sum | sed "s/-\$/$r/"
 //	done >cmd/detourd/testdata/replays.sha256
 func TestReplayDigests(t *testing.T) {
@@ -35,11 +36,7 @@ func TestReplayDigests(t *testing.T) {
 			want[fields[1]] = fields[0]
 		}
 	}
-	names := make([]string, 0, len(sched.Replays))
-	for name := range sched.Replays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedKeys(sched.Replays)
 	if len(want) != len(names) {
 		t.Fatalf("testdata lists %d replays, sched.Replays has %d (%v)", len(want), len(names), names)
 	}
@@ -53,5 +50,25 @@ func TestReplayDigests(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != want[name] {
 			t.Errorf("replay %s output sha256 %s, committed %q", name, got, want[name])
 		}
+	}
+}
+
+// TestMakefileReplays checks that the Makefile's REPLAYS list, which
+// `make check` byte-compares across two runs, names exactly the
+// entries of sched.Replays, so a new replay cannot skip that loop.
+func TestMakefileReplays(t *testing.T) {
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^REPLAYS\s*=(.*)$`).FindSubmatch(mk)
+	if m == nil {
+		t.Fatal("Makefile has no REPLAYS line")
+	}
+	listed := strings.Fields(string(m[1]))
+	sort.Strings(listed)
+	names := sortedKeys(sched.Replays)
+	if strings.Join(listed, " ") != strings.Join(names, " ") {
+		t.Errorf("Makefile REPLAYS = %v, sched.Replays has %v", listed, names)
 	}
 }

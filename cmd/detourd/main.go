@@ -18,15 +18,16 @@
 // providers throw outages and error bursts, a DTN crashes. The
 // scheduler runs with checkpointed resume and circuit breakers, retry
 // backoff spends virtual time, and the final report adds recovery
-// accounting. Failed jobs are expected under chaos and do not fail the
+// accounting, the breakers' states at drain and the first fault
+// transitions. Failed jobs are expected under chaos and do not fail the
 // process.
 //
 // With -overload, the full overload-control stack arms: a bounded
 // queue with per-tenant quotas (the trace loop back-pressures through
 // SubmitWait instead of dropping), CoDel-style queue-delay shedding,
-// weighted DRR fair queuing, hedged transfers, and brownout
-// degradation. Every job gets a deadline of 60 virtual seconds from
-// admission, so queue-rotted work expires instead of burning capacity.
+// DRR fair queuing, hedged transfers, and brownout degradation. Every
+// job gets a deadline of 60 virtual seconds from admission, so
+// queue-rotted work expires instead of burning capacity.
 // Shed and expired jobs are expected under overload and do not fail
 // the process.
 //
@@ -57,6 +58,13 @@
 // multipath: every site/provider pair over each single route and then
 // striped across direct + detours, plus one large striped transfer
 // driven into the reconvergence storm.
+//
+// overload: a flash crowd at several times the sustainable service
+// rate over four steady tenants, with the detour's first hop degraded
+// mid-burst, as an unbounded control and with the overload-control
+// stack — bounded per-tenant queues, CoDel shedding, fair queuing,
+// hedging, brownout — compared on deadline-met goodput, per-tenant
+// fairness and queue delay.
 //
 // telemetry: an instrumented flash crowd through the reconvergence
 // storm — live telemetry lines, the operator dashboard, then the full
@@ -196,12 +204,26 @@ func main() {
 	fmt.Printf("detourd: drained — %s\n", st)
 	fmt.Printf("  admitted %d of %d; %d retries, %d detour->direct fallbacks, %d cache invalidations\n",
 		admitted, len(trace), st.Retries, st.Fallbacks, st.CacheInvalidations)
+	fmt.Printf("  route cache: %d probes served %d route decisions\n",
+		st.CacheMisses, st.CacheHits+st.CacheMisses)
 	fmt.Printf("  virtual time: %.1f s of simulated transfer activity\n", exec.VirtualNow())
 	if inj != nil {
 		fmt.Printf("  chaos: %d fault transitions; %d failovers, %d breaker diversions, %d breaker transitions\n",
 			inj.Injected, st.Failovers, st.BreakerSkips, st.BreakerTransitions)
 		fmt.Printf("  recovery: %.1f MB resumed from checkpoints, %.1f MB rewritten\n",
 			st.BytesResumed/1e6, st.BytesRewritten/1e6)
+		fmt.Println("  breakers at drain:")
+		for _, k := range sortedKeys(st.Breakers) {
+			fmt.Printf("    %-32s %s\n", k, st.Breakers[k])
+		}
+		fmt.Println("  fault timeline (first 12 transitions):")
+		for i, tr := range inj.Transitions() {
+			if i == 12 {
+				fmt.Printf("    ... %d more\n", len(inj.Transitions())-12)
+				break
+			}
+			fmt.Printf("    %s\n", tr)
+		}
 	}
 	if *overload {
 		fmt.Printf("  overload: %d shed, %d expired, %d late; queue delay p99 %.1fs\n",
@@ -210,32 +232,17 @@ func main() {
 			st.Hedges, st.HedgeWins, st.BrownoutEnters, st.BrownoutExits, st.BrownoutDirect, st.StaleServes)
 	}
 
-	routes := make([]string, 0, len(st.PerRoute))
-	for r := range st.PerRoute {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
 	fmt.Println("  per-route totals:")
-	for _, r := range routes {
+	for _, r := range sortedKeys(st.PerRoute) {
 		rs := st.PerRoute[r]
 		fmt.Printf("    %-16s %4d jobs  %8.1f MB  %6.2f MB/s\n",
 			r, rs.Jobs, rs.Bytes/1e6, rs.Throughput()/1e6)
 	}
 	fmt.Println("  concurrency peaks (cap enforcement high-water marks):")
-	provs := make([]string, 0, len(st.ProviderPeak))
-	for p := range st.ProviderPeak {
-		provs = append(provs, p)
-	}
-	sort.Strings(provs)
-	for _, p := range provs {
+	for _, p := range sortedKeys(st.ProviderPeak) {
 		fmt.Printf("    provider %-12s peak %d\n", p, st.ProviderPeak[p])
 	}
-	dtns := make([]string, 0, len(st.DTNPeak))
-	for d := range st.DTNPeak {
-		dtns = append(dtns, d)
-	}
-	sort.Strings(dtns)
-	for _, d := range dtns {
+	for _, d := range sortedKeys(st.DTNPeak) {
 		fmt.Printf("    dtn      %-12s peak %d\n", d, st.DTNPeak[d])
 	}
 	if st.Failed > 0 && !*chaos && !*overload {
@@ -248,12 +255,7 @@ func main() {
 func runReplay(name string, seed int64) int {
 	e, ok := sched.Replays[name]
 	if !ok {
-		names := make([]string, 0, len(sched.Replays))
-		for n := range sched.Replays {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(os.Stderr, "detourd: unknown replay %q (have %s)\n", name, strings.Join(names, ", "))
+		fmt.Fprintf(os.Stderr, "detourd: unknown replay %q (have %s)\n", name, strings.Join(sortedKeys(sched.Replays), ", "))
 		return 2
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -266,4 +268,14 @@ func runReplay(name string, seed int64) int {
 		return 1
 	}
 	return 0
+}
+
+// sortedKeys returns m's keys in order, for deterministic listings.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -24,14 +24,19 @@ func chaosRun(t *testing.T, disableRecovery bool, specs ...faults.Spec) (Result,
 	w := scenario.Build(3)
 	exec := NewSimExecutor(w)
 	faults.NewInjector(w, 3, specs...)
+	var ex Executor = exec
+	if disableRecovery {
+		// The bare Execute hides ExecuteResumable: every attempt
+		// restarts from byte zero.
+		ex = ExecutorFunc(exec.Execute)
+	}
 	var res Result
 	s := New(Config{
-		Workers: 1, Executor: exec, Planner: pinDetour(),
-		MaxAttempts:     4,
-		Now:             exec.VirtualNow,
-		Sleep:           exec.SleepVirtual,
-		DisableRecovery: disableRecovery,
-		OnResult:        func(r Result) { res = r },
+		Workers: 1, Executor: ex, Planner: pinDetour(),
+		MaxAttempts: 4,
+		Now:         exec.VirtualNow,
+		Sleep:       exec.SleepVirtual,
+		OnResult:    func(r Result) { res = r },
 	})
 	s.Start()
 	if err := s.Submit(Job{

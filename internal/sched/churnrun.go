@@ -68,7 +68,9 @@ func RunChurn(o ReplayOptions) ChurnOutcome {
 		}
 	} else {
 		cfg.MaxAttempts = 1
-		cfg.DisableRecovery = true
+		// No checkpointed resume: the bare Execute hides the executor's
+		// resumable (and every other optional) interface.
+		cfg.Executor = ExecutorFunc(exec.Execute)
 	}
 	// A fixed two-site fleet on the storm's target provider: UBC rides
 	// the pinned PacificWave path that flips away and back, UAlberta

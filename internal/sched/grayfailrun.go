@@ -1,14 +1,14 @@
 // Grayfail replay: the gray-failure harness behind `make grayfail`,
-// `detourd -replay grayfail`, `detourctl -health`, and the grayfail
-// acceptance tests. One RunGrayfail call builds a world, arms the
-// faults.GrayfailSchedule — degradations that never return an error:
-// a provider silently throttling one peering point, a DTN's staging
-// disk dying slowly, a link shedding goodput — and drives a fixed UBC
-// fleet through the scheduler, either with the health stack (stall
-// watchdogs, outlier ejection with canary re-admission, retry
-// budgets) or as the no-health ablation (Health left nil) that must
-// discover the same degradations the hard way, through the bandit's
-// slow relearning. Determinism is the harness's (see replay.go).
+// `detourd -replay grayfail`, and the grayfail acceptance tests. One
+// RunGrayfail call builds a world, arms the faults.GrayfailSchedule —
+// degradations that never return an error: a provider silently
+// throttling one peering point, a DTN's staging disk dying slowly, a
+// link shedding goodput — and drives a fixed UBC fleet through the
+// scheduler, either with the health stack (stall watchdogs, outlier
+// ejection with canary re-admission, retry budgets) or as the
+// no-health ablation (Health left nil) that must discover the same
+// degradations the hard way, through the bandit's slow relearning.
+// Determinism is the harness's (see replay.go).
 package sched
 
 import (
@@ -222,15 +222,7 @@ func WriteGrayfailReport(out io.Writer, control, stack GrayfailOutcome) {
 		fmt.Fprintf(out, "  %s\n", tr)
 	}
 	fmt.Fprintln(out, "health table:")
-	WriteHealthTable(out, stack.Table)
-	fmt.Fprintln(out, "retry budgets:")
-	WriteRetryBudgets(out, stack.Budgets)
-}
-
-// WriteHealthTable renders one row per tracked entity: learned
-// baseline rate, probation state, stall and observation counts.
-func WriteHealthTable(out io.Writer, table []health.EntityHealth) {
-	for _, e := range table {
+	for _, e := range stack.Table {
 		state := "healthy"
 		if e.Probation {
 			state = "probation"
@@ -238,11 +230,8 @@ func WriteHealthTable(out io.Writer, table []health.EntityHealth) {
 		fmt.Fprintf(out, "  %-9s %-16s baseline %6.2f MB/s  %-9s stalls %d  obs %d\n",
 			e.Class, e.Entity, e.Baseline/1e6, state, e.Stalls, e.Observations)
 	}
-}
-
-// WriteRetryBudgets renders one row per provider retry-token bucket.
-func WriteRetryBudgets(out io.Writer, budgets []health.RetryBudget) {
-	for _, b := range budgets {
+	fmt.Fprintln(out, "retry budgets:")
+	for _, b := range stack.Budgets {
 		fmt.Fprintf(out, "  %-12s tokens %.1f  spent %d  denied %d\n",
 			b.Provider, b.Tokens, b.Spent, b.Denied)
 	}

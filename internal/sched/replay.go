@@ -1,10 +1,11 @@
 // Replay harness: the pieces every committed scenario replay shares.
 // Each replay (churn, grayfail, pressure, crashsafe, multipath,
-// telemetry) builds its own world and arms its own faults, then hands
-// a fixed fleet to one of two drivers — runFleet for a batch submitted
-// up front, Feeder for a trace whose arrivals ride the virtual clock —
-// and collects a Replay. Replays is the surface table: detourd -replay
-// NAME and `make check` run every entry by name at its committed seed.
+// telemetry, overload) builds its own world and arms its own faults,
+// then hands a fixed fleet to one of two drivers — runFleet for a batch
+// submitted up front, feeder for a trace whose arrivals ride the
+// virtual clock — and collects a Replay. Replays is the surface table:
+// detourd -replay NAME and `make check` run every entry by name at its
+// committed seed.
 //
 // Everything is deterministic per seed: Workers is 1 (sequential ⇒
 // deterministic — the repo's established idiom), faults are pure
@@ -15,6 +16,7 @@ package sched
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"detournet/internal/bgppol"
 	"detournet/internal/core"
@@ -121,33 +123,40 @@ func RouteEventOf(ev bgppol.Event) RouteEvent {
 	}
 }
 
-// Feeder replays an arrival trace against the virtual clock. It wraps
+// feeder replays an arrival trace against the virtual clock. It wraps
 // the simulation executor so every virtual-time advance — transfer,
 // probe, hedge, reroute, or backoff sleep — first completes, then
 // submits every arrival the new clock has reached. That is what makes
 // an open-arrival replay deterministic with one worker: arrivals
 // interleave with service by virtual time, not by goroutine timing.
 //
-// Use a Feeder as both Config.Executor and Config.Planner, with
-// Config.Sleep = Feeder.Sleep. It deliberately exposes only the entry
+// Use a feeder as both Config.Executor and Config.Planner, with
+// Config.Sleep = feeder.Sleep. It deliberately exposes only the entry
 // points below, not the executor's optional interfaces (path-aware
 // planning, prechecks, health, quota reclaim). Hedging still requires
 // Config.Hedge and rerouting Config.Reroute.
-type Feeder struct {
+type feeder struct {
 	exec   *SimExecutor
 	trace  []workload.FleetJob
 	submit func(workload.FleetJob)
-	next   int
+	// mu serializes feed: Run's catch-up feed on the caller's goroutine
+	// can still be submitting same-instant arrivals when the worker,
+	// already running the first of them, feeds from inside an executor
+	// call.
+	mu   sync.Mutex
+	next int
 }
 
-// NewFeeder feeds trace (sorted by arrival) through submit as exec's
+// newFeeder feeds trace (sorted by arrival) through submit as exec's
 // virtual clock passes each arrival.
-func NewFeeder(exec *SimExecutor, trace []workload.FleetJob, submit func(workload.FleetJob)) *Feeder {
-	return &Feeder{exec: exec, trace: trace, submit: submit}
+func newFeeder(exec *SimExecutor, trace []workload.FleetJob, submit func(workload.FleetJob)) *feeder {
+	return &feeder{exec: exec, trace: trace, submit: submit}
 }
 
 // feed submits every arrival due at or before the current clock.
-func (f *Feeder) feed() {
+func (f *feeder) feed() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	now := f.exec.VirtualNow()
 	for f.next < len(f.trace) && f.trace[f.next].At <= now {
 		fj := f.trace[f.next]
@@ -158,7 +167,7 @@ func (f *Feeder) feed() {
 
 // Run drains s until the trace is exhausted: whenever the scheduler
 // goes idle before the next arrival, the clock skips ahead to it.
-func (f *Feeder) Run(s *Scheduler) {
+func (f *feeder) Run(s *Scheduler) {
 	for {
 		s.Drain()
 		if f.next >= len(f.trace) {
@@ -172,37 +181,37 @@ func (f *Feeder) Run(s *Scheduler) {
 	s.Drain()
 }
 
-func (f *Feeder) Execute(j Job, r core.Route) (float64, error) {
+func (f *feeder) Execute(j Job, r core.Route) (float64, error) {
 	sec, err := f.exec.Execute(j, r)
 	f.feed()
 	return sec, err
 }
 
-func (f *Feeder) ExecuteResumable(j Job, r core.Route, ck *core.Checkpoint) (float64, error) {
+func (f *feeder) ExecuteResumable(j Job, r core.Route, ck *core.Checkpoint) (float64, error) {
 	sec, err := f.exec.ExecuteResumable(j, r, ck)
 	f.feed()
 	return sec, err
 }
 
-func (f *Feeder) ExecuteHedged(j Job, r core.Route, budget float64, ck *core.Checkpoint) (float64, core.Route, bool, bool, error) {
+func (f *feeder) ExecuteHedged(j Job, r core.Route, budget float64, ck *core.Checkpoint) (float64, core.Route, bool, bool, error) {
 	sec, route, launched, won, err := f.exec.ExecuteHedged(j, r, budget, ck)
 	f.feed()
 	return sec, route, launched, won, err
 }
 
-func (f *Feeder) ExecuteRerouting(j Job, r core.Route, ck *core.Checkpoint, parkBudget float64) (float64, core.Route, int, float64, error) {
+func (f *feeder) ExecuteRerouting(j Job, r core.Route, ck *core.Checkpoint, parkBudget float64) (float64, core.Route, int, float64, error) {
 	sec, final, nr, parked, err := f.exec.ExecuteRerouting(j, r, ck, parkBudget)
 	f.feed()
 	return sec, final, nr, parked, err
 }
 
-func (f *Feeder) Plan(client, provider string, size float64) (core.Route, []core.Route, error) {
+func (f *feeder) Plan(client, provider string, size float64) (core.Route, []core.Route, error) {
 	route, cands, err := f.exec.Plan(client, provider, size)
 	f.feed()
 	return route, cands, err
 }
 
-func (f *Feeder) Sleep(sec float64) {
+func (f *feeder) Sleep(sec float64) {
 	f.exec.SleepVirtual(sec)
 	f.feed()
 }
@@ -229,6 +238,7 @@ var Replays = map[string]ReplayEntry{
 	"churn":    {Seed: 2015, Run: controlVsStack(RunChurn, WriteChurnReport)},
 	"grayfail": {Seed: 2015, Run: controlVsStack(RunGrayfail, WriteGrayfailReport)},
 	"pressure": {Seed: 2015, Run: controlVsStack(RunPressure, WritePressureReport)},
+	"overload": {Seed: 2015, Run: controlVsStack(runOverload, writeOverloadReport)},
 	"crashsafe": {Seed: 2015, Run: func(out io.Writer, seed int64) error {
 		control, legs := RunCrashsafeSweep(seed)
 		WriteCrashsafeReport(out, control, legs)

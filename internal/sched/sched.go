@@ -274,10 +274,6 @@ type Config struct {
 	// MaxAttempts bounds executions per job, first try included
 	// (default 3).
 	MaxAttempts int
-	// DetourFailLimit is how many detour failures a job tolerates
-	// before the cached detour is invalidated and the job falls back to
-	// direct (default 2).
-	DetourFailLimit int
 
 	// TenantRate admits jobs per tenant at this sustained rate in
 	// jobs/sec (0 = unlimited). TenantBurst is the bucket depth
@@ -288,11 +284,6 @@ type Config struct {
 	// CacheTTL is the route-cache entry lifetime in scheduler-clock
 	// seconds (default 300); a failed detour stays benched as long.
 	CacheTTL float64
-
-	// DisableRecovery turns off checkpointed resume even when the
-	// Executor supports it: every attempt restarts from byte zero. For
-	// ablations and negative tests.
-	DisableRecovery bool
 
 	// Reroute enables make-before-break rerouting when the Executor
 	// implements ReroutingExecutor: an attempt whose path is withdrawn
@@ -421,9 +412,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.DetourFailLimit <= 0 {
-		c.DetourFailLimit = 2
-	}
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = c.TenantRate
 		if c.TenantBurst < 1 {
@@ -464,6 +452,9 @@ const (
 	// half-open probe.
 	breakerThreshold = 3
 	breakerCooldown  = 30
+	// detourFailLimit untyped detour failures in one job invalidate the
+	// cached detour and fall the job back to direct.
+	detourFailLimit = 2
 	// coDelAlpha is the smoothing factor of CoDel's queue-delay EWMA.
 	coDelAlpha = 0.3
 	// hedgePercentile is the per-route latency percentile that prices a
@@ -906,7 +897,7 @@ func (s *Scheduler) drive(run *Result) {
 	// route, resumes from it.
 	var ck *core.Checkpoint
 	rex, resumable := s.cfg.Executor.(ResumableExecutor)
-	if resumable && !s.cfg.DisableRecovery {
+	if resumable {
 		ck = &core.Checkpoint{}
 	}
 
@@ -1156,7 +1147,7 @@ func (s *Scheduler) drive(run *Result) {
 			s.breakers.failure(breakerKey(j.Provider, run.Route))
 			if run.Route.Kind == core.Detour {
 				detourFails++
-				if detourFails >= s.cfg.DetourFailLimit {
+				if detourFails >= detourFailLimit {
 					// Repeated DTN failures: bench the detour for every
 					// follower of this key and fall back to direct ourselves.
 					s.cache.Invalidate(key, run.Route)

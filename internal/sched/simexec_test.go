@@ -11,7 +11,7 @@ import (
 // TestSimExecutorFleet runs a real multi-client fleet trace through the
 // control plane on the simulated topology: concurrent workers, cached
 // probe decisions, transfers in virtual time. This is the miniature of
-// examples/fleet that CI (and the race detector) always runs.
+// the detourd fleet that CI (and the race detector) always runs.
 func TestSimExecutorFleet(t *testing.T) {
 	w := scenario.Build(7)
 	exec := NewSimExecutor(w)

@@ -1,16 +1,15 @@
 // Telemetry replay: the observability harness behind `make
-// telemetry`, `detourd -replay telemetry`, and detourctl's -dash
-// dashboard. One RunTelemetry call builds a world with dynamic
-// routing, arms the reconvergence storm, and drives a flash-crowd
-// fleet through a fully instrumented scheduler: a metrics registry
-// collects counters and histograms, a simclock-driven sampler records
-// per-window time series (link utilization, queue depth, DTN staging
-// fill, provider quota headroom, journal size, active flows) into
-// ring buffers, and a flight recorder keeps the complete decision
-// trace of every failed transfer.
+// telemetry` and `detourd -replay telemetry`. One RunTelemetry call
+// builds a world with dynamic routing, arms the reconvergence storm,
+// and drives a flash-crowd fleet through a fully instrumented
+// scheduler: a metrics registry collects counters and histograms, a
+// simclock-driven sampler records per-window time series (link
+// utilization, queue depth, DTN staging fill, provider quota headroom,
+// journal size, active flows) into ring buffers, and a flight recorder
+// keeps the complete decision trace of every failed transfer.
 //
 // Determinism is inherited, not asserted: one worker, arrivals fed at
-// virtual-time boundaries (see Feeder), the sampler ticking on the
+// virtual-time boundaries (see feeder), the sampler ticking on the
 // virtual clock as a scenario pauser, and report renderers that
 // iterate only sorted data. Same seed, same binary ⇒ byte-identical
 // reports, Prometheus dumps, and JSON exports — which `make check`
@@ -117,8 +116,8 @@ func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
 
 	var results []Result
 	var s *Scheduler
-	// The flash crowd arrives on the virtual clock (see Feeder).
-	fd := NewFeeder(exec, telemetryTrace(o), func(fj workload.FleetJob) {
+	// The flash crowd arrives on the virtual clock (see feeder).
+	fd := newFeeder(exec, telemetryTrace(o), func(fj workload.FleetJob) {
 		err := s.Submit(Job{
 			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
 			Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
@@ -287,8 +286,8 @@ func WriteTelemetryReport(out io.Writer, o TelemetryOutcome) {
 	}
 }
 
-// WriteTelemetryDash renders the compact terminal dashboard behind
-// `detourctl -dash`: headline counters, every sampled series as a
+// WriteTelemetryDash renders the compact terminal dashboard section of
+// `detourd -replay telemetry`: headline counters, every sampled series as a
 // sparkline, and one line per retained failed trace.
 func WriteTelemetryDash(out io.Writer, o TelemetryOutcome) {
 	st := o.Stats
