@@ -1,6 +1,6 @@
 GO ?= go
 
-# The committed replays (sched.Replays), each run by detourd -replay.
+# The committed replays (replay.Replays), each run by detourd -replay.
 REPLAYS = churn multipath grayfail crashsafe pressure telemetry overload
 
 .PHONY: build test vet race bench perfbench check fleet chaos overload stress churn multipath grayfail crashsafe pressure telemetry
@@ -37,7 +37,7 @@ fleet:
 # Chaos: the fault-injection tests race-clean, then a 300-job fleet
 # trace drained under the canned fault schedule.
 chaos:
-	$(GO) test -race ./internal/faults/ ./internal/sched/
+	$(GO) test -race ./internal/faults/ ./internal/sched/ ./internal/replay/
 	$(GO) run ./cmd/detourd -chaos -jobs 300
 
 # Overload: the flash-crowd trace replayed with and without the
@@ -50,20 +50,20 @@ overload:
 # push invalidation, make-before-break reroute/reattach), then the BGP
 # reconvergence storm replayed with and without the churn stack.
 churn:
-	$(GO) test -race ./internal/bgppol/ ./internal/sched/ ./internal/core/
+	$(GO) test -race ./internal/bgppol/ ./internal/sched/ ./internal/replay/ ./internal/core/
 	$(GO) run ./cmd/detourd -replay churn
 
 # Multipath: the striping tests race-clean (chunk ledger, hedging,
 # drains, churn digest property), then the striped-vs-single replay.
 multipath:
-	$(GO) test -race ./internal/multipath/ ./internal/stats/ ./internal/sched/
+	$(GO) test -race ./internal/multipath/ ./internal/stats/ ./internal/sched/ ./internal/replay/
 	$(GO) run ./cmd/detourd -replay multipath
 
 # Grayfail: the gray-failure detection tests race-clean (stall
 # watchdogs, outlier ejection with canary re-admission, retry budgets),
 # then the silent-degradation replay with and without the health stack.
 grayfail:
-	$(GO) test -race ./internal/health/ ./internal/faults/ ./internal/sched/
+	$(GO) test -race ./internal/health/ ./internal/faults/ ./internal/sched/ ./internal/replay/
 	$(GO) run ./cmd/detourd -replay grayfail
 
 # Crashsafe: the crash-consistency tests race-clean (journal framing,
@@ -72,7 +72,7 @@ grayfail:
 # run, then the sweep replay: kill at every crash point, restart on the
 # journal, converge byte-identical with zero duplicate commits.
 crashsafe:
-	$(GO) test -race ./internal/journal/ ./internal/sched/
+	$(GO) test -race ./internal/journal/ ./internal/sched/ ./internal/replay/
 	$(GO) test -fuzz=FuzzScan -fuzztime=5s ./internal/journal
 	$(GO) run ./cmd/detourd -replay crashsafe
 
@@ -82,7 +82,7 @@ crashsafe:
 # disks fill, quota drains, the journal device fills — the full stack
 # vs the no-mitigation ablation.
 pressure:
-	$(GO) test -race ./internal/rsyncx/ ./internal/sched/ ./internal/cloudsim/ ./internal/journal/
+	$(GO) test -race ./internal/rsyncx/ ./internal/sched/ ./internal/replay/ ./internal/cloudsim/ ./internal/journal/
 	$(GO) run ./cmd/detourd -replay pressure
 
 # Telemetry: the observability-plane tests race-clean (registry hot
@@ -91,13 +91,13 @@ pressure:
 # flash-crowd replay: live dumps, dashboard sparklines, failed-job
 # decision traces, Prometheus dump.
 telemetry:
-	$(GO) test -race ./internal/telemetry/ ./internal/sched/
+	$(GO) test -race ./internal/telemetry/ ./internal/sched/ ./internal/replay/
 	$(GO) run ./cmd/detourd -replay telemetry
 
 # Stress: the scheduler suite repeated under the race detector to
 # shake out ordering-dependent bugs in the queue and overload layer.
 stress:
-	$(GO) test -race -count=5 ./internal/sched/
+	$(GO) test -race -count=5 ./internal/sched/ ./internal/replay/
 
 # The gate PRs must pass: every Go file is gofmt-clean, everything
 # compiles, vets clean, the full test suite (including the

@@ -29,17 +29,19 @@
 // truncate, and the folded state a restarted scheduler would recover —
 // finished jobs, pending jobs with their checkpoints and idempotent
 // attempt IDs, spent retry tokens, held cap slots. Point it at the file
-// a `detourd`-style deployment (or sched.RunCrashsafe with JournalPath)
+// a `detourd`-style deployment (or replay.Crashsafe with JournalPath)
 // writes. Transfer flags are ignored in this mode.
 //
 // With -capacity, the tool instead replays the storage-exhaustion
-// schedule with the mitigation stack armed and prints the operator's
-// storage view: each DTN's staging-disk accounting (capacity, used,
-// headroom, evictions, orphan sweeps), each provider's quota ledger
-// (committed, pending session bytes, sessions reclaimed), and the
-// scheduler's quota-mitigation counters. Transfer flags are ignored in
-// this mode. The health table and the telemetry dashboard are part of
-// `detourd -replay grayfail` and `detourd -replay telemetry`.
+// schedule with the mitigation stack armed (the stack arm of the
+// pressure replay, internal/replay.WriteCapacity) and prints the
+// operator's storage view: each DTN's staging-disk accounting
+// (capacity, used, headroom, evictions, orphan sweeps), each
+// provider's quota ledger (committed, pending session bytes, sessions
+// reclaimed), and the scheduler's quota-mitigation counters. Transfer
+// flags are ignored in this mode. The health table and the telemetry
+// dashboard are part of `detourd -replay grayfail` and `detourd
+// -replay telemetry`.
 package main
 
 import (
@@ -51,6 +53,7 @@ import (
 	"detournet/internal/detourselect"
 	"detournet/internal/fileutil"
 	"detournet/internal/multipath"
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/sdk"
@@ -82,7 +85,8 @@ func main() {
 	}
 
 	if *capTab {
-		os.Exit(runCapacityTable(*seed))
+		replay.WriteCapacity(os.Stdout, *seed)
+		return
 	}
 
 	if _, ok := scenario.Providers[*provider]; !ok {
@@ -170,36 +174,6 @@ func main() {
 	})
 	writeTrace(w, *traceOut, exit)
 	os.Exit(exit)
-}
-
-// runCapacityTable replays the storage-exhaustion scenario with the
-// mitigation stack armed and renders the final storage accounting the
-// way a real deployment's `detourctl capacity` would read the control
-// plane.
-func runCapacityTable(seed int64) int {
-	out := sched.RunPressure(sched.ReplayOptions{Seed: seed, Stack: true})
-	st := out.Stats
-	fmt.Printf("storage after %d transfers, %.0f virtual s: %d quota failures, %d reclaims, %d spills, %d quota-parked; journal degraded=%v enospc-saves=%d dropped=%d\n",
-		len(out.Results), out.VirtualSeconds,
-		st.QuotaFailures, st.QuotaReclaims, st.ProviderSpills, st.QuotaParks,
-		st.JournalDegraded, st.JournalENOSPCSaves, st.JournalDropped)
-	fmt.Println("staging disks:")
-	for _, sn := range out.Staging {
-		fmt.Printf("  %-9s cap %4.0f MB used %4.0f MB headroom %4.0f MB reserved %4.0f MB | %d staged %d partials %d orphans | %d evictions (%.0f MB) %d orphans swept\n",
-			sn.DTN, sn.Capacity/1e6, sn.Used/1e6, sn.Headroom/1e6, sn.Reserved/1e6,
-			sn.Staged, sn.Partials, sn.Orphans, sn.Evictions, sn.EvictedBytes/1e6, sn.OrphansSwept)
-	}
-	fmt.Println("provider quota:")
-	for _, q := range out.Quota {
-		fmt.Printf("  %-12s quota %4.0f MB used %4.0f MB pending %4.0f MB free %4.0f MB | %d sessions reclaimed\n",
-			q.Provider, q.Quota/1e6, q.Used/1e6, q.Pending/1e6,
-			(q.Quota-q.Used-q.Pending)/1e6, q.SessionsReclaimed)
-	}
-	fmt.Println("warnings:")
-	for _, tr := range out.Health {
-		fmt.Printf("  %s\n", tr)
-	}
-	return 0
 }
 
 func writeTrace(w *scenario.World, path string, exit int) {

@@ -11,14 +11,15 @@ import (
 	"strings"
 	"testing"
 
-	"detournet/internal/sched"
+	"detournet/internal/replay"
 )
 
 // TestReplayDigests pins every byte each committed replay prints
 // (`detourd -replay NAME` at its committed seed) against the SHA-256
 // in testdata/replays.sha256, so an output change between commits
 // fails here, not only a difference between two runs of one build.
-// When an output change is intended, regenerate the file with
+// When an output change is intended, regenerate the file over the
+// keys of replay.Replays with
 //
 //	for r in churn crashsafe grayfail multipath overload pressure telemetry; do
 //		go run ./cmd/detourd -replay $r | sha256sum | sed "s/-\$/$r/"
@@ -36,12 +37,12 @@ func TestReplayDigests(t *testing.T) {
 			want[fields[1]] = fields[0]
 		}
 	}
-	names := sortedKeys(sched.Replays)
+	names := sortedKeys(replay.Replays)
 	if len(want) != len(names) {
-		t.Fatalf("testdata lists %d replays, sched.Replays has %d (%v)", len(want), len(names), names)
+		t.Fatalf("testdata lists %d replays, replay.Replays has %d (%v)", len(want), len(names), names)
 	}
 	for _, name := range names {
-		e := sched.Replays[name]
+		e := replay.Replays[name]
 		var out bytes.Buffer
 		if err := e.Run(&out, e.Seed); err != nil {
 			t.Fatalf("replay %s: %v", name, err)
@@ -55,7 +56,7 @@ func TestReplayDigests(t *testing.T) {
 
 // TestMakefileReplays checks that the Makefile's REPLAYS list, which
 // `make check` byte-compares across two runs, names exactly the
-// entries of sched.Replays, so a new replay cannot skip that loop.
+// entries of replay.Replays, so a new replay cannot skip that loop.
 func TestMakefileReplays(t *testing.T) {
 	mk, err := os.ReadFile("../../Makefile")
 	if err != nil {
@@ -67,8 +68,8 @@ func TestMakefileReplays(t *testing.T) {
 	}
 	listed := strings.Fields(string(m[1]))
 	sort.Strings(listed)
-	names := sortedKeys(sched.Replays)
+	names := sortedKeys(replay.Replays)
 	if strings.Join(listed, " ") != strings.Join(names, " ") {
-		t.Errorf("Makefile REPLAYS = %v, sched.Replays has %v", listed, names)
+		t.Errorf("Makefile REPLAYS = %v, replay.Replays has %v", listed, names)
 	}
 }

@@ -32,7 +32,7 @@
 // the process.
 //
 // With -replay NAME, the daemon instead runs one committed scenario
-// replay (see internal/sched.Replays) at its committed seed, or at
+// replay (see internal/replay.Replays) at its committed seed, or at
 // -seed when given, prints its deterministic report, and exits 1 if the
 // replay's sanity check fails. Other scheduler flags are ignored in
 // this mode. The replays:
@@ -57,7 +57,10 @@
 //
 // multipath: every site/provider pair over each single route and then
 // striped across direct + detours, plus one large striped transfer
-// driven into the reconvergence storm.
+// driven into the reconvergence storm; its sanity check fails when a
+// striped pair fails or takes over 1.05x its best single route's
+// time, or the storm leg re-sends more than one chunk per path
+// failure.
 //
 // overload: a flash crowd at several times the sustainable service
 // rate over four steady tenants, with the detour's first hop degraded
@@ -81,6 +84,7 @@ import (
 	"time"
 
 	"detournet/internal/faults"
+	"detournet/internal/replay"
 	"detournet/internal/scenario"
 	"detournet/internal/sched"
 	"detournet/internal/workload"
@@ -217,9 +221,10 @@ func main() {
 			fmt.Printf("    %-32s %s\n", k, st.Breakers[k])
 		}
 		fmt.Println("  fault timeline (first 12 transitions):")
-		for i, tr := range inj.Transitions() {
+		trs := inj.Transitions()
+		for i, tr := range trs {
 			if i == 12 {
-				fmt.Printf("    ... %d more\n", len(inj.Transitions())-12)
+				fmt.Printf("    ... %d more\n", len(trs)-12)
 				break
 			}
 			fmt.Printf("    %s\n", tr)
@@ -250,12 +255,12 @@ func main() {
 	}
 }
 
-// runReplay runs one entry of sched.Replays; -seed overrides the
+// runReplay runs one entry of replay.Replays; -seed overrides the
 // entry's committed seed only when given explicitly.
 func runReplay(name string, seed int64) int {
-	e, ok := sched.Replays[name]
+	e, ok := replay.Replays[name]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "detourd: unknown replay %q (have %s)\n", name, strings.Join(sortedKeys(sched.Replays), ", "))
+		fmt.Fprintf(os.Stderr, "detourd: unknown replay %q (have %s)\n", name, strings.Join(sortedKeys(replay.Replays), ", "))
 		return 2
 	}
 	flag.Visit(func(f *flag.Flag) {

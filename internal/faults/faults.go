@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"detournet/internal/bgppol"
 	"detournet/internal/scenario"
@@ -293,8 +294,7 @@ type Injector struct {
 	stopped bool
 
 	// Injected counts applied transitions (activations + recoveries).
-	Injected    int
-	transitions []string
+	Injected int
 
 	control *CrashControl
 	rotRand *rand.Rand
@@ -617,8 +617,6 @@ func (inj *Injector) apply(sp *state, active bool) {
 		inj.publishLink(active, sp.DTN, "")
 	}
 	inj.Injected++
-	inj.transitions = append(inj.transitions,
-		fmt.Sprintf("t=%.3f %s %s active=%v", float64(inj.eng.Now()), sp.Kind, sp.target(), active))
 	inj.w.Trace.Emit("fault."+sp.Kind.String(), map[string]any{
 		"target": sp.target(), "active": active,
 	})
@@ -758,12 +756,16 @@ func (inj *Injector) applySilentLoss(sp *state, active bool) {
 	}
 }
 
-// Transitions returns the applied-transition log, one line per state
-// change, in order. The log is deterministic for a given seed and
-// schedule.
+// Transitions renders the applied-transition log from the world
+// trace's fault.<kind> events, one "t=<time> <kind> <target>
+// active=<bool>" line per state change, in order. The log is
+// deterministic for a given seed and schedule.
 func (inj *Injector) Transitions() []string {
-	out := make([]string, len(inj.transitions))
-	copy(out, inj.transitions)
+	var out []string
+	for _, ev := range inj.w.Trace.Filter("fault") {
+		out = append(out, fmt.Sprintf("t=%.3f %s %s active=%v",
+			ev.At, strings.TrimPrefix(ev.Kind, "fault."), ev.Attrs["target"], ev.Attrs["active"]))
+	}
 	return out
 }
 

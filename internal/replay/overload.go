@@ -10,16 +10,17 @@
 //
 // One worker, and arrivals ride the virtual clock (see feeder), so a
 // fixed seed reproduces every shed, rejection, and hedge.
-package sched
+
+package replay
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 
 	"detournet/internal/faults"
 	"detournet/internal/scenario"
+	"detournet/internal/stats"
 	"detournet/internal/workload"
 )
 
@@ -32,15 +33,6 @@ const (
 	overloadSteadyRate = 0.2  // jobs/s per steady tenant
 	overloadFlashRate  = 6.0  // jobs/s from the flash tenant during the burst
 )
-
-// overloadOutcome is one arm of the overload replay.
-type overloadOutcome struct {
-	Replay
-	// attempts and rejected count submissions per tenant. Every trace
-	// arrival is submitted exactly once, so attempts is also the trace's
-	// per-tenant census.
-	attempts, rejected map[string]int
-}
 
 // overloadTrace lays the flash crowd over the steady fleet: each
 // steady tenant is its own Poisson stream for the whole trace, the
@@ -96,60 +88,34 @@ func clipTrace(jobs []workload.FleetJob) []workload.FleetJob {
 	return out
 }
 
-// runOverload replays the flash crowd through one arm.
-func runOverload(o ReplayOptions) overloadOutcome {
-	w := scenario.Build(o.Seed)
+// overloadArm replays the flash-crowd trace through one arm.
+func overloadArm(seed int64, trace []workload.FleetJob, stack bool) Replay {
 	// Mid-burst, the detour's first hop (CANARIE Vancouver–Edmonton)
 	// drops to 5% capacity: detour attempts stall past their learned
 	// budget, and the stack arm hedges them onto the direct route.
-	faults.NewInjector(w, o.Seed, faults.Spec{
+	r := newRig(seed, []faults.Spec{{
 		Kind: faults.LinkDegrade, From: "vncv1", To: "edmn1",
 		Start: overloadCalm + overloadBurst/2, Duration: overloadBurst / 2, CapacityFactor: 0.05,
-	})
-	exec := NewSimExecutor(w)
-	defer exec.Close()
-
-	out := overloadOutcome{attempts: map[string]int{}, rejected: map[string]int{}}
-	var s *Scheduler
-	fd := newFeeder(exec, overloadTrace(o.Seed), func(fj workload.FleetJob) {
-		out.attempts[fj.Tenant]++
-		err := s.Submit(Job{
-			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
-			Name: fj.Name, Size: fj.Size, Deadline: fj.Deadline,
-		})
-		if err != nil {
-			out.rejected[fj.Tenant]++
+	}})
+	return r.run(fleet{trace: trace}, func(r *rig) {
+		r.cfg.MaxAttempts = 3
+		if stack {
+			r.cfg.QueueLimit = 100
+			r.cfg.TenantQueueLimit = 80
+			r.cfg.FairQueue = true
+			r.cfg.DRRQuantumBytes = 1e6
+			r.cfg.CoDelTarget = 6
+			r.cfg.Hedge = true
+			r.cfg.HedgeMinSamples = 4
+			r.cfg.HedgeMaxFrac = 0.1
+			r.cfg.BrownoutEnter = 0.8
 		}
 	})
-	cfg := Config{
-		Workers: 1, Executor: fd, Planner: fd,
-		MaxAttempts: 3,
-		Now:         exec.VirtualNow,
-		Sleep:       fd.Sleep,
-		OnResult:    func(r Result) { out.Results = append(out.Results, r) },
-	}
-	if o.Stack {
-		cfg.QueueLimit = 100
-		cfg.TenantQueueLimit = 80
-		cfg.FairQueue = true
-		cfg.DRRQuantumBytes = 1e6
-		cfg.CoDelTarget = 6
-		cfg.Hedge = true
-		cfg.HedgeMinSamples = 4
-		cfg.HedgeMaxFrac = 0.1
-		cfg.BrownoutEnter = 0.8
-	}
-	s = New(cfg)
-	s.Start()
-	fd.Run(s)
-	out.Stats = s.Stats()
-	s.Close()
-	return out
 }
 
 // deadlineMet is the arm's goodput in bytes and its per-tenant ratio
 // of deadline-met transfers to submission attempts.
-func (o overloadOutcome) deadlineMet() (bytes float64, ratios map[string]float64) {
+func deadlineMet(o Replay, attempts map[string]int) (bytes float64, ratios map[string]float64) {
 	done := map[string]float64{}
 	for _, r := range o.Results {
 		if r.Err == nil && !r.Late {
@@ -158,31 +124,33 @@ func (o overloadOutcome) deadlineMet() (bytes float64, ratios map[string]float64
 		}
 	}
 	ratios = map[string]float64{}
-	for tn, n := range o.attempts {
+	for tn, n := range attempts {
 		ratios[tn] = done[tn] / float64(n)
 	}
 	return bytes, ratios
 }
 
-// writeOverloadReport renders the control-vs-stack comparison.
-func writeOverloadReport(out io.Writer, control, stack overloadOutcome) {
-	tenants := make([]string, 0, len(control.attempts))
-	jobs := 0
-	for tn, n := range control.attempts {
-		tenants = append(tenants, tn)
-		jobs += n
+// runOverload renders the control-vs-stack comparison. Every trace
+// arrival is submitted exactly once, so the trace's per-tenant census
+// is also each arm's submission attempts.
+func runOverload(out io.Writer, seed int64) error {
+	trace := overloadTrace(seed)
+	control, stack := overloadArm(seed, trace, false), overloadArm(seed, trace, true)
+	attempts := map[string]int{}
+	for _, fj := range trace {
+		attempts[fj.Tenant]++
 	}
-	sort.Strings(tenants)
+	tenants := sortedKeys(attempts)
 	fmt.Fprintf(out, "Overload: %d jobs over %.0fs — calm %.0fs, burst %.0fs (flash tenant at %.0f jobs/s), calm %.0fs\n",
-		jobs, overloadEnd, overloadCalm, overloadBurst, overloadFlashRate, overloadCalm)
+		len(trace), overloadEnd, overloadCalm, overloadBurst, overloadFlashRate, overloadCalm)
 	for _, tn := range tenants {
-		fmt.Fprintf(out, "  %-10s %4d jobs\n", tn, control.attempts[tn])
+		fmt.Fprintf(out, "  %-10s %4d jobs\n", tn, attempts[tn])
 	}
 	fmt.Fprintf(out, "control  run: %s\n", control.Stats)
 	fmt.Fprintf(out, "overload run: %s\n", stack.Stats)
 
-	cGood, cRatios := control.deadlineMet()
-	sGood, sRatios := stack.deadlineMet()
+	cGood, cRatios := deadlineMet(control, attempts)
+	sGood, sRatios := deadlineMet(stack, attempts)
 	cs, ss := control.Stats, stack.Stats
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "goodput (deadline-met): control %.0f MB, overload %.0f MB (%.2fx)\n",
@@ -199,12 +167,13 @@ func writeOverloadReport(out io.Writer, control, stack overloadOutcome) {
 	var steady []float64
 	for _, tn := range tenants {
 		fmt.Fprintf(out, "  %-10s control %.2f   overload %.2f   (rejected %d)\n",
-			tn, cRatios[tn], sRatios[tn], stack.rejected[tn])
+			tn, cRatios[tn], sRatios[tn], stack.Rejected[tn])
 		if tn != "flash" {
 			steady = append(steady, sRatios[tn])
 		}
 	}
 	// The flash aggressor is excluded: it demands several times its fair
 	// share by construction, so equal *ratios* are not the goal for it.
-	fmt.Fprintf(out, "Jain's index over steady tenants: %.3f\n", JainIndex(steady))
+	fmt.Fprintf(out, "Jain's index over steady tenants: %.3f\n", stats.JainFairness(steady))
+	return nil
 }

@@ -1,5 +1,5 @@
 // Telemetry replay: the observability harness behind `make
-// telemetry` and `detourd -replay telemetry`. One RunTelemetry call
+// telemetry` and `detourd -replay telemetry`. One Telemetry call
 // builds a world with dynamic routing, arms the reconvergence storm,
 // and drives a flash-crowd fleet through a fully instrumented
 // scheduler: a metrics registry collects counters and histograms, a
@@ -14,7 +14,8 @@
 // iterate only sorted data. Same seed, same binary ⇒ byte-identical
 // reports, Prometheus dumps, and JSON exports — which `make check`
 // verifies.
-package sched
+
+package replay
 
 import (
 	"fmt"
@@ -22,35 +23,18 @@ import (
 	"math"
 	"math/rand"
 
-	"detournet/internal/bgppol"
 	"detournet/internal/faults"
 	"detournet/internal/journal"
 	"detournet/internal/scenario"
+	"detournet/internal/sched"
 	"detournet/internal/telemetry"
 	"detournet/internal/workload"
 )
 
-// TelemetryOptions configures one instrumented replay.
-type TelemetryOptions struct {
-	// Seed drives the world, the storm, and the flash-crowd trace.
-	Seed int64
-	// SampleEvery is the sampler's virtual-second grid (default 15).
-	SampleEvery float64
-	// DumpEvery, when positive with DumpTo set, prints a compact
-	// telemetry line every so many virtual seconds — the periodic dump
-	// behind `detourd -replay telemetry`.
-	DumpEvery float64
-	DumpTo    io.Writer
-	// NoInstrument runs the identical storm with the whole telemetry
-	// plane detached (no registry, recorder, or sampler) — the overhead
-	// guard's baseline. The outcome's observability fields stay empty.
-	NoInstrument bool
-}
-
 // TelemetryOutcome is one replay's complete, deterministic result set:
 // plain results plus every observability surface, captured as value
 // snapshots so callers can render or diff them without touching live
-// state.
+// state. An uninstrumented run leaves the observability fields empty.
 type TelemetryOutcome struct {
 	Replay
 	// Snapshot is the metrics registry at end of run.
@@ -62,94 +46,87 @@ type TelemetryOutcome struct {
 	Traces []telemetry.JobTrace
 	// RecorderFinished / RecorderFailed count jobs through the recorder.
 	RecorderFinished, RecorderFailed int
-	// SampleEvery and Samples describe the sampling grid actually used.
-	SampleEvery float64
-	Samples     int
+	// Samples is how many sampleEvery ticks the sampler took.
+	Samples int
 }
 
-// The telemetry fleet: 40 transfers of 24 MB each.
+// The telemetry fleet: 40 transfers of 24 MB each, sampled every 15
+// virtual seconds.
 const (
 	telemetryJobs    = 40
 	telemetryJobSize = 24e6
+	sampleEvery      = 15.0
+	// dumpEvery is the periodic dump's grid: a compact telemetry line
+	// every so many virtual seconds.
+	dumpEvery = 120
 )
 
-// RunTelemetry replays the instrumented flash crowd once. See the
-// package comment.
-func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 15
+// Telemetry replays the instrumented flash crowd once. See the file
+// comment. Without instrument the identical storm runs with the whole
+// telemetry plane detached (no registry, recorder, or sampler) — the
+// overhead guard's baseline. A non-nil dump receives the periodic
+// telemetry lines.
+func Telemetry(seed int64, instrument bool, dump io.Writer) TelemetryOutcome {
+	r := newRig(seed, faults.ChurnSchedule(), scenario.WithDynamicRouting())
+	cj, _, err := sched.NewControlJournal(journal.NewMemDevice())
+	if err != nil {
+		panic(err)
 	}
-
-	w := scenario.Build(o.Seed, scenario.WithDynamicRouting())
-	inj := faults.NewInjector(w, o.Seed, faults.ChurnSchedule()...)
-	exec := NewSimExecutor(w)
-	defer exec.Close()
+	// A finite provider quota (ample — double the fleet) makes the
+	// headroom series meaningful without ever rejecting a byte.
+	store := r.w.Services[scenario.GoogleDrive].Store
+	store.Quota = 2 * telemetryJobs * telemetryJobSize
 
 	// The observability plane: registry for counters/histograms, sampler
 	// on the virtual clock, flight recorder stamped with virtual time.
-	// Every consumer below is nil-safe, so the NoInstrument baseline
+	// Every consumer below is nil-safe, so the uninstrumented baseline
 	// runs the identical code with the plane detached.
 	var (
 		reg  *telemetry.Registry
 		rec  *telemetry.FlightRecorder
 		samp *telemetry.Sampler
 	)
-	if !o.NoInstrument {
+	if instrument {
 		reg = telemetry.NewRegistry()
-		rec = telemetry.NewFlightRecorder(exec.VirtualNow, 64, 6)
-		samp = telemetry.NewSampler(w.Eng, o.SampleEvery, 1024)
+		samp = telemetry.NewSampler(r.w.Eng, sampleEvery, 1024)
 		// The sampler pauses like cross-traffic: armed only while a
 		// workload drives the engine, so its self-rescheduling tick never
 		// wedges the event-queue drain between transfers.
-		w.AddPauser(samp)
+		r.w.AddPauser(samp)
 	}
-
-	cj, _, err := NewControlJournal(journal.NewMemDevice())
-	if err != nil {
-		panic(err)
-	}
-
-	// A finite provider quota (ample — double the fleet) makes the
-	// headroom series meaningful without ever rejecting a byte.
-	store := w.Services[scenario.GoogleDrive].Store
-	store.Quota = 2 * telemetryJobs * telemetryJobSize
-
-	var results []Result
-	var s *Scheduler
 	// The flash crowd arrives on the virtual clock (see feeder).
-	fd := newFeeder(exec, telemetryTrace(o), func(fj workload.FleetJob) {
-		err := s.Submit(Job{
-			Tenant: fj.Tenant, Client: fj.Client, Provider: fj.Provider,
-			Name: fj.Name, Size: fj.Size, Priority: fj.Priority,
-		})
-		if err != nil {
-			panic(err)
+	out := TelemetryOutcome{Replay: r.run(fleet{trace: telemetryTrace(seed)}, func(r *rig) {
+		if instrument {
+			rec = telemetry.NewFlightRecorder(r.exec.VirtualNow, 64, 6)
 		}
-	})
-	cfg := Config{
-		Workers:  1, // sequential ⇒ deterministic
-		Executor: fd, Planner: fd,
 		// A deliberately thin survival stack: rerouting with a short park
 		// budget and only one retry, so the storm's blackhole windows
 		// produce real failures — the traces the flight recorder exists
 		// to keep.
-		MaxAttempts: 2,
-		Reroute:     true,
-		ParkBudget:  20,
-		Journal:     cj,
-		Telemetry:   reg,
-		Recorder:    rec,
-		Now:         exec.VirtualNow,
-		Sleep:       fd.Sleep,
-		OnResult:    func(r Result) { results = append(results, r) },
-	}
-	s = New(cfg)
-	w.RouteBus.Subscribe(func(ev bgppol.Event) { s.RouteEvent(RouteEventOf(ev)) })
-	s.Start()
+		r.cfg.MaxAttempts = 2
+		r.cfg.Reroute = true
+		r.cfg.ParkBudget = 20
+		r.cfg.Journal = cj
+		r.cfg.Telemetry = reg
+		r.cfg.Recorder = rec
+		r.attach = func(s *sched.Scheduler) {
+			r.subscribeRoutes(s)
+			trackSeries(r.w, s, samp, cj, dump)
+		}
+	})}
+	out.Snapshot = reg.Snapshot()
+	out.Series = samp.Snapshot()
+	out.Traces = rec.Retained()
+	out.Samples = samp.Samples()
+	out.RecorderFinished, out.RecorderFailed = rec.Counts()
+	return out
+}
 
-	// Sampler sources, one probe per series. Link picks: the paper's
-	// rate-limited PacificWave hand-off, the fast private peering, and
-	// the CANARIE detour's first hop.
+// trackSeries registers the sampler's sources, one probe per series,
+// and the periodic dump to dump (when non-nil).
+func trackSeries(w *scenario.World, s *sched.Scheduler, samp *telemetry.Sampler, cj *sched.ControlJournal, dump io.Writer) {
+	// Link picks: the paper's rate-limited PacificWave hand-off, the
+	// fast private peering, and the CANARIE detour's first hop.
 	type linkProbe struct {
 		name  string
 		probe func() float64
@@ -164,8 +141,7 @@ func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
 		if !ok {
 			continue
 		}
-		l := e.Link
-		lp := linkProbe{name: "link." + lk[0] + ">" + lk[1] + ".util", probe: l.Utilization}
+		lp := linkProbe{name: "link." + lk[0] + ">" + lk[1] + ".util", probe: e.Link.Utilization}
 		linkProbes = append(linkProbes, lp)
 		samp.Track(lp.name, lp.probe)
 	}
@@ -178,51 +154,33 @@ func RunTelemetry(o TelemetryOptions) TelemetryOutcome {
 		samp.Track("dtn."+dtn+".staged_mb", func() float64 { return d.Stats().Used / 1e6 })
 	}
 	svc := w.Services[scenario.GoogleDrive]
-	samp.Track("provider.gdrive.stored_mb", func() float64 { return store.Used() / 1e6 })
-	samp.Track("provider.gdrive.headroom_mb", func() float64 { return store.QuotaHeadroom() / 1e6 })
+	samp.Track("provider.gdrive.stored_mb", func() float64 { return svc.Store.Used() / 1e6 })
+	samp.Track("provider.gdrive.headroom_mb", func() float64 { return svc.Store.QuotaHeadroom() / 1e6 })
 	samp.Track("provider.gdrive.pending_mb", func() float64 { return svc.PendingBytes() / 1e6 })
 	samp.Track("journal.kb", func() float64 { return float64(cj.DeviceSize()) / 1024 })
 
-	if o.DumpEvery > 0 && o.DumpTo != nil {
-		next := o.DumpEvery
-		samp.OnSample(func(t float64) {
-			if t+1e-9 < next {
-				return
-			}
-			next = (math.Floor(t/o.DumpEvery) + 1) * o.DumpEvery
-			q, run := s.Depths()
-			fmt.Fprintf(o.DumpTo, "[t=%6.0f] queued=%2d running=%d flows=%2.0f", t, q, run,
-				float64(fl.ActiveFlows()))
-			for _, lp := range linkProbes {
-				fmt.Fprintf(o.DumpTo, " %s=%.2f", lp.name[len("link."):], lp.probe())
-			}
-			fmt.Fprintf(o.DumpTo, " journal=%.1fKB\n", float64(cj.DeviceSize())/1024)
-		})
+	if dump == nil {
+		return
 	}
-
-	fd.Run(s)
-
-	st := s.Stats()
-	s.Close()
-	out := TelemetryOutcome{
-		Replay: Replay{
-			Results: results, Stats: st,
-			Transitions:    inj.Transitions(),
-			VirtualSeconds: exec.VirtualNow(),
-		},
-		Snapshot:    reg.Snapshot(),
-		Series:      samp.Snapshot(),
-		Traces:      rec.Retained(),
-		SampleEvery: o.SampleEvery,
-		Samples:     samp.Samples(),
-	}
-	out.RecorderFinished, out.RecorderFailed = rec.Counts()
-	return out
+	next := float64(dumpEvery)
+	samp.OnSample(func(t float64) {
+		if t+1e-9 < next {
+			return
+		}
+		next = (math.Floor(t/dumpEvery) + 1) * dumpEvery
+		q, run := s.Depths()
+		fmt.Fprintf(dump, "[t=%6.0f] queued=%2d running=%d flows=%2.0f", t, q, run,
+			float64(fl.ActiveFlows()))
+		for _, lp := range linkProbes {
+			fmt.Fprintf(dump, " %s=%.2f", lp.name[len("link."):], lp.probe())
+		}
+		fmt.Fprintf(dump, " journal=%.1fKB\n", float64(cj.DeviceSize())/1024)
+	})
 }
 
 // telemetryTrace generates the fleet: a calm lead-in, a burst that
 // lands inside the storm's churn windows, and a calm tail.
-func telemetryTrace(o TelemetryOptions) []workload.FleetJob {
+func telemetryTrace(seed int64) []workload.FleetJob {
 	crowd, err := workload.NewFlashCrowd(
 		workload.Phase{RatePerSec: 0.05, Seconds: 40},
 		workload.Phase{RatePerSec: 0.5, Seconds: 120},
@@ -239,7 +197,7 @@ func telemetryTrace(o TelemetryOptions) []workload.FleetJob {
 		Sizes:     workload.Fixed{Bytes: telemetryJobSize},
 		Arrivals:  crowd,
 		Prefix:    "tlm", PriorityLevels: 1,
-	}, rand.New(rand.NewSource(o.Seed)))
+	}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}
@@ -255,15 +213,15 @@ func writeSeries(out io.Writer, ss telemetry.SeriesSnapshot) {
 		ss.Name, ss.Min(), ss.Max(), ss.Last(), telemetry.Spark(ss.Values, sparkWidth))
 }
 
-// WriteTelemetryReport renders the deterministic full report: run
+// writeTelemetryReport renders the deterministic full report: run
 // stats, the sampled time series with sparklines, the failed jobs'
 // flight-recorder traces decision by decision, and the Prometheus dump.
-func WriteTelemetryReport(out io.Writer, o TelemetryOutcome) {
+func writeTelemetryReport(out io.Writer, o TelemetryOutcome) {
 	fmt.Fprintf(out, "Telemetry: %d transfers through a reconvergence storm (%d fault transitions, %.0f virtual s, goodput %.2f MB/s)\n",
-		len(o.Results), len(o.Transitions), o.VirtualSeconds, o.Goodput()/1e6)
+		len(o.Results), len(o.Faults), o.VirtualSeconds, o.Goodput()/1e6)
 	fmt.Fprintf(out, "stats: %s\n", o.Stats)
 
-	fmt.Fprintf(out, "time series (every %g virtual s, %d samples):\n", o.SampleEvery, o.Samples)
+	fmt.Fprintf(out, "time series (every %g virtual s, %d samples):\n", sampleEvery, o.Samples)
 	for _, ss := range o.Series {
 		writeSeries(out, ss)
 	}
@@ -286,13 +244,13 @@ func WriteTelemetryReport(out io.Writer, o TelemetryOutcome) {
 	}
 }
 
-// WriteTelemetryDash renders the compact terminal dashboard section of
+// writeTelemetryDash renders the compact terminal dashboard section of
 // `detourd -replay telemetry`: headline counters, every sampled series as a
 // sparkline, and one line per retained failed trace.
-func WriteTelemetryDash(out io.Writer, o TelemetryOutcome) {
+func writeTelemetryDash(out io.Writer, o TelemetryOutcome) {
 	st := o.Stats
 	fmt.Fprintf(out, "== detour telemetry dashboard (%.0f virtual s, %d samples every %gs) ==\n",
-		o.VirtualSeconds, o.Samples, o.SampleEvery)
+		o.VirtualSeconds, o.Samples, sampleEvery)
 	fmt.Fprintf(out, " jobs: %d done / %d failed / %d expired / %d shed | goodput %.2f MB/s\n",
 		st.Done, st.Failed, st.Expired, st.Shed, o.Goodput()/1e6)
 	fmt.Fprintf(out, " churn: %d reroutes, %d parks (%.0fs), %d retries, %d failovers, %d fallbacks\n",
@@ -313,4 +271,18 @@ func WriteTelemetryDash(out io.Writer, o TelemetryOutcome) {
 		}
 		fmt.Fprintf(out, "  failed %-14s %2d events, last: %s\n", tr.Job, tr.Seen, last)
 	}
+}
+
+// runTelemetry prints the live dumps, the dashboard and the full
+// report `detourd -replay telemetry` shows.
+func runTelemetry(out io.Writer, seed int64) error {
+	fmt.Fprintln(out, "== live telemetry ==")
+	o := Telemetry(seed, true, out)
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "== dashboard ==")
+	writeTelemetryDash(out, o)
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "== full report ==")
+	writeTelemetryReport(out, o)
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"detournet/internal/bgppol"
 	"detournet/internal/core"
 	"detournet/internal/detourselect"
 )
@@ -90,6 +91,17 @@ type RouteEvent struct {
 	// ConvergedBy is when the last domain will have adopted the change;
 	// converging holds last at least until then.
 	ConvergedBy float64
+}
+
+// RouteEventOf converts a routing-plane event into the route cache's
+// invalidation event.
+func RouteEventOf(ev bgppol.Event) RouteEvent {
+	return RouteEvent{
+		Withdraw: ev.Kind == bgppol.EventWithdraw,
+		DomainA:  ev.DomainA, DomainB: ev.DomainB,
+		FromNode: ev.FromNode, ToNode: ev.ToNode,
+		At: ev.At, ConvergedBy: ev.ConvergedBy,
+	}
 }
 
 // entry is one cached decision plus the online state that refines it.

@@ -29,8 +29,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
+	"os"
 	"slices"
 	"strconv"
 	"sync"
@@ -40,8 +42,9 @@ import (
 	"detournet/internal/sdk"
 )
 
-// Enumerated control-plane crash points. RunCrashsafe sweeps all of
-// them; the coverage test asserts every one is actually reached.
+// Enumerated control-plane crash points. The crashsafe replay sweeps all
+// of them (CrashsafeSweepLegs); the coverage test asserts every one is
+// actually reached.
 const (
 	// CrashAfterSubmit dies after a submit record hits the journal but
 	// before the job runs.
@@ -78,6 +81,56 @@ func CrashPoints() []string {
 		CrashAfterSubmit, CrashBeforeAttempt, CrashAfterAttempt,
 		CrashTornAppend, CrashMidHop1, CrashMidHop2,
 		CrashBeforeFinish, CrashAfterFinish, CrashDuringCompact,
+	}
+}
+
+// CrashsafeLeg is one crash scenario of the crashsafe sweep: a kill at
+// Point on its Occurrence-th hit, optionally with a decayed-disk
+// restart (BitRot corrupts staged chunks of every in-flight job
+// between the crash and the restart; recovery must repair exactly the
+// damaged chunks, never discard the transfer) or with JournalFaults
+// (injected bit rot flips journal bytes mid-run, then a torn append
+// kills the control plane mid-record; the restart must recover the
+// longest valid prefix and precheck its way past the lost records).
+type CrashsafeLeg struct {
+	Point         string
+	Occurrence    int
+	BitRot        bool
+	JournalFaults bool
+}
+
+// String renders the leg's scenario name.
+func (l CrashsafeLeg) String() string {
+	if l.Point == "" && l.JournalFaults {
+		return "journal-rot+torn"
+	}
+	s := fmt.Sprintf("%s#%d", l.Point, l.Occurrence)
+	if l.BitRot {
+		s += "+bitrot"
+	}
+	if l.JournalFaults {
+		s += "+jrot"
+	}
+	return s
+}
+
+// CrashsafeSweepLegs enumerates the sweep: every crash point, with an
+// occurrence tuned to land mid-fleet, plus a bit-rot restart leg and
+// the corrupted-journal leg. The coverage test asserts the sweep
+// reaches every enumerated point.
+func CrashsafeSweepLegs() []CrashsafeLeg {
+	return []CrashsafeLeg{
+		{Point: CrashAfterSubmit, Occurrence: 30},
+		{Point: CrashBeforeAttempt, Occurrence: 15},
+		{Point: CrashAfterAttempt, Occurrence: 35},
+		{Point: CrashTornAppend, Occurrence: 600},
+		{Point: CrashMidHop1, Occurrence: 200},
+		{Point: CrashMidHop2, Occurrence: 700},
+		{Point: CrashBeforeFinish, Occurrence: 30},
+		{Point: CrashAfterFinish, Occurrence: 40},
+		{Point: CrashDuringCompact, Occurrence: 2},
+		{Point: CrashMidHop2, Occurrence: 5, BitRot: true},
+		{JournalFaults: true},
 	}
 }
 
@@ -1098,4 +1151,82 @@ func (cj *ControlJournal) DeviceSize() int {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	return cj.w.Device().Size()
+}
+
+// sortedKeys returns m's keys in order, for deterministic listings.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// journalRecName names the wire record types for the -journal dump.
+var journalRecName = map[byte]string{
+	recSubmit: "submit", recAttempt: "attempt", recCkpt: "ckpt",
+	recCap: "cap", recRetry: "retry", recLanes: "lanes",
+	recFinish: "finish", recSnapshot: "snapshot",
+}
+
+// WriteJournalDump replays a control journal file and prints the
+// operator's view of it: the record census, any truncated tail, and
+// the folded state a restart would recover — finished jobs, pending
+// jobs with their checkpoints and idempotent attempt IDs, spent retry
+// tokens, held cap slots. The detourctl -journal flag drives this.
+//
+// The dump is read-only: it replays an in-memory copy of the file, so
+// the torn-tail truncation a restart would perform never reaches the
+// file on disk.
+func WriteJournalDump(out io.Writer, path string) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	dev := journal.NewMemDevice()
+	if err := dev.Swap(b); err != nil {
+		return err
+	}
+	recs, truncated, err := journal.Replay(dev)
+	if err != nil {
+		return err
+	}
+	counts := make(map[string]int)
+	for _, r := range recs {
+		name := journalRecName[r.Type]
+		if name == "" {
+			name = fmt.Sprintf("type-%d", r.Type)
+		}
+		counts[name]++
+	}
+	_, rec, err := NewControlJournal(dev)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "journal %s: %d records, %d B", path, len(recs), len(b))
+	if truncated > 0 {
+		fmt.Fprintf(out, " (torn tail: %d B truncated)", truncated)
+	}
+	fmt.Fprintln(out)
+	for _, n := range sortedKeys(counts) {
+		fmt.Fprintf(out, "  %-9s %d\n", n, counts[n])
+	}
+	fmt.Fprintf(out, "recovered state: %d finished, %d pending, %d duplicate finishes\n",
+		len(rec.Finished), len(rec.Pending), rec.DupFinishes)
+	for _, pj := range rec.Pending {
+		line := fmt.Sprintf("  pending %s seq=%d id=%s attempts=%d", pj.Job.Name, pj.Seq, pj.AttemptID, pj.PriorAttempts)
+		if pj.HasCkpt {
+			line += fmt.Sprintf(" ckpt[hop1=%s@%.0f session=%v watermark=%.0f]",
+				pj.Ck.Hop1Via, pj.Ck.Hop1High, pj.Ck.HasSession, pj.Ck.Watermark)
+		}
+		fmt.Fprintln(out, line)
+	}
+	for _, p := range sortedKeys(rec.RetrySpent) {
+		fmt.Fprintf(out, "  retries spent %s: %d\n", p, rec.RetrySpent[p])
+	}
+	for _, k := range sortedKeys(rec.CapsHeld) {
+		fmt.Fprintf(out, "  cap held %s: %d\n", k, rec.CapsHeld[k])
+	}
+	return nil
 }

@@ -350,21 +350,6 @@ func TestControlJournalReplayEqualsLive(t *testing.T) {
 	}
 }
 
-// TestCrashsafeSweepReplayEqualsLive: once the crash sweep's control
-// arm and each of its legs has run, replaying the surviving journal
-// recovers exactly the last incarnation's live fold.
-func TestCrashsafeSweepReplayEqualsLive(t *testing.T) {
-	control, legs := crashsafeSweep(t)
-	if err := replayMismatch(control.lastJournal); err != nil {
-		t.Errorf("control: %v", err)
-	}
-	for _, l := range legs {
-		if err := replayMismatch(l.Outcome.lastJournal); err != nil {
-			t.Errorf("%s: %v", l.label(), err)
-		}
-	}
-}
-
 // discardDevice is a journal device that keeps nothing, so an append
 // benchmark's memory stays flat however many records it writes.
 type discardDevice struct{}

@@ -120,11 +120,11 @@ func (s *Scheduler) runMultipath(run *Result, key CacheKey) bool {
 // always a lane — the paper's capped-last-mile sites lose nothing, and
 // everyone else gains its capacity), then the planned route and the
 // cache's detour candidates, deduplicated, capped at the job's or the
-// config's path limit.
+// default path limit (multipathMaxPaths).
 func (s *Scheduler) multipathRoutes(key CacheKey, j Job, primary core.Route) []core.Route {
 	maxPaths := j.MaxPaths
 	if maxPaths <= 0 {
-		maxPaths = s.cfg.MultipathMaxPaths
+		maxPaths = multipathMaxPaths
 	}
 	// A striped job can never hold more provider slots than the cap —
 	// asking for more would just burn admission attempts.

@@ -13,6 +13,7 @@ import (
 	"detournet/internal/core"
 	"detournet/internal/faults"
 	"detournet/internal/scenario"
+	"detournet/internal/stats"
 )
 
 // ---- synthetic deterministic harness ----------------------------------
@@ -293,7 +294,7 @@ func TestOverloadAcceptance(t *testing.T) {
 			t.Errorf("tenant %s completion ratio %.2f < 0.5 of its demand", tenant, ratio)
 		}
 	}
-	if jain := JainIndex(ratios); jain < 0.9 {
+	if jain := stats.JainFairness(ratios); jain < 0.9 {
 		t.Errorf("Jain index over steady tenants = %.3f < 0.9 (ratios %v)", jain, ratios)
 	}
 	if doneByTenant["flash"] == 0 {
@@ -750,18 +751,6 @@ func TestSimHedgedTransfer(t *testing.T) {
 	st := s.Stats()
 	if st.Hedges != 1 || st.HedgeWins != 1 {
 		t.Errorf("stats hedges=%d wins=%d, want 1/1", st.Hedges, st.HedgeWins)
-	}
-}
-
-func TestJainIndex(t *testing.T) {
-	if j := JainIndex([]float64{1, 1, 1, 1}); j < 0.999 {
-		t.Fatalf("equal shares: %v", j)
-	}
-	if j := JainIndex([]float64{1, 0, 0, 0}); j > 0.26 {
-		t.Fatalf("one-taker: %v, want ~0.25", j)
-	}
-	if j := JainIndex(nil); j != 0 {
-		t.Fatalf("empty: %v", j)
 	}
 }
 

@@ -63,7 +63,7 @@ type Job struct {
 	// under brownout or on an unsupporting executor).
 	Mode JobMode
 	// MaxPaths caps a multipath job's concurrent routes (0 = the
-	// Config.MultipathMaxPaths default).
+	// default of 3: direct plus two detours).
 	MaxPaths int
 	// Priority orders the queue: higher drains sooner.
 	Priority int
@@ -294,11 +294,6 @@ type Config struct {
 	Reroute    bool
 	ParkBudget float64
 
-	// MultipathMaxPaths caps how many routes a JobMultipath job stripes
-	// across — direct plus detours (default 3). The stripe unit is the
-	// multipath package's default (core.DefaultResumeChunk).
-	MultipathMaxPaths int
-
 	// --- Overload control (all off by default) ---
 
 	// QueueLimit bounds total queue occupancy: Submit rejects with
@@ -430,9 +425,6 @@ func (c Config) withDefaults() Config {
 	if c.ParkBudget <= 0 {
 		c.ParkBudget = 90
 	}
-	if c.MultipathMaxPaths <= 0 {
-		c.MultipathMaxPaths = 3
-	}
 	c.Backoff = c.Backoff.withDefaults()
 	if c.Now == nil {
 		start := time.Now()
@@ -455,6 +447,11 @@ const (
 	// detourFailLimit untyped detour failures in one job invalidate the
 	// cached detour and fall the job back to direct.
 	detourFailLimit = 2
+	// multipathMaxPaths caps how many routes a JobMultipath job stripes
+	// across — direct plus detours — unless the job sets MaxPaths. The
+	// stripe unit is the multipath package's default
+	// (core.DefaultResumeChunk).
+	multipathMaxPaths = 3
 	// coDelAlpha is the smoothing factor of CoDel's queue-delay EWMA.
 	coDelAlpha = 0.3
 	// hedgePercentile is the per-route latency percentile that prices a
